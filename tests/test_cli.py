@@ -1,9 +1,13 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+from cdgame import cli
 from cdgame.families import cycle, predomination_penalty_graph
 from cdgame.graph import emit_graph6
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, stdin=""):
@@ -84,6 +88,23 @@ def test_verify_output_jsonl(tmp_path):
     assert all(r["verdict"] == "pass" for r in records)
     assert {"claim", "instance", "expected", "observed", "verdict",
             "elapsed"} == set(records[0])
+
+
+def test_verify_records_match_benchmark_reference(tmp_path, capsys):
+    # The benchmark's verify slice: every 8th graph of the bundled corpus.
+    # Every record, elapsed aside, must equal the committed reference.
+    lines = (ROOT / "src/cdgame/data/graphs7.g6").read_text().splitlines()
+    corpus = tmp_path / "slice.g6"
+    corpus.write_text("\n".join(lines[::8]) + "\n")
+    target = tmp_path / "claims.jsonl"
+    assert cli.main(["verify", "--corpus", str(corpus), "--output", str(target)]) == 1
+    capsys.readouterr()
+    reference = [json.loads(ln) for ln in
+                 (ROOT / "perfbench/reference/verify.jsonl").read_text().splitlines()]
+    records = [json.loads(ln) for ln in target.read_text().splitlines()]
+    assert len(records) == len(reference)
+    for ref, rec in zip(reference, records):
+        assert {k: v for k, v in rec.items() if k != "elapsed"} == ref
 
 
 def test_verify_missing_corpus():

@@ -5,10 +5,13 @@ passes only on exact match.  The named suite groups the claims the
 verification harness runs: exact path/cycle/ladder/product values, the
 small-value and diameter characterizations, the Staller-start and
 skip/pass sandwiches over a graph corpus, predomination behavior, and
-the solver-vs-oracle agreement sweep.  ``predomination_scan`` is the
-search tool for the open questions about vertices whose predomination
-shifts the game value; it reports findings and never claims
-(non-)existence.
+the solver-vs-oracle agreement sweep.  The corpus claims are predicates
+over one table of per-graph game values, filled on demand, so a suite
+run solves each value of each corpus graph at most once.
+
+``predomination_scan`` is the search tool for the open questions about
+vertices whose predomination shifts the game value; it reports findings
+and never claims (non-)existence.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .graph import (Graph, bits, diameter, has_universal_vertex, is_complete,
                     is_join_some_noncomplete, is_join_two_noncomplete,
                     lexicographic_product, read_graph6_file)
 from .solver import (NEVER, BudgetExceeded, GameValue, game_value, is_never,
-                     solve, solve_naive)
+                     solve_naive)
 
 PASS, FAIL, BUDGET = "pass", "fail", "budget-exceeded"
 
@@ -86,29 +89,6 @@ def load_corpus(path=None) -> list[Graph]:
 
 # ---------------------------------------------------------------------------
 # individual checkers
-
-def check_small_values(g: Graph, instance: str) -> list[ClaimResult]:
-    """The four exact characterizations of game values 1 and 2."""
-    d = game_value(g)
-    s = game_value(g, Variant.STALLER_START)
-    return [
-        _claim("small-value/d-one", instance, has_universal_vertex(g), d == 1),
-        _claim("small-value/s-one", instance, is_complete(g), s == 1),
-        _claim("small-value/d-two", instance, is_join_two_noncomplete(g), d == 2),
-        _claim("small-value/s-two", instance, is_join_some_noncomplete(g), s == 2),
-    ]
-
-
-def check_diameter_bounds(g: Graph, instance: str) -> list[ClaimResult]:
-    """diam(G) <= d-game value + 1 and diam(G) <= s-game value."""
-    dia = diameter(g)
-    d = game_value(g)
-    s = game_value(g, Variant.STALLER_START)
-    return [
-        _claim("diameter/d-bound", instance, True, dia <= d + 1),
-        _claim("diameter/s-bound", instance, True, dia <= s),
-    ]
-
 
 def check_gadget_family(n: int) -> list[ClaimResult]:
     """Doubling gadget: d-game n, s-game 2n, the extreme s/d ratio."""
@@ -207,40 +187,6 @@ def cut_vertices(g: Graph) -> int:
     return result
 
 
-def check_cut_vertex(g: Graph, instance: str) -> list[ClaimResult]:
-    """Predominating a cut vertex never shortens the game, and some vertex
-    (an optimal opening move) predominates without lengthening it."""
-    base = game_value(g)
-    claims = []
-    for u in bits(cut_vertices(g)):
-        val = game_value(g, predominated=1 << u)
-        claims.append(_claim("predomination/cut-vertex", f"{instance}|{g.label(u)}",
-                             True, val >= base))
-    d1 = solve(g, GameConfig(Variant.DOMINATOR_START)).principal_line[0][1]
-    val = game_value(g, predominated=1 << d1)
-    claims.append(_claim("predomination/opening-not-worse",
-                         f"{instance}|{g.label(d1)}", True, val <= base))
-    return claims
-
-
-def check_skip_and_pass(g: Graph, instance: str) -> list[ClaimResult]:
-    """Skip variants stay within one move of the plain games; pass budgets
-    help Staller by at most one move each and never hurt her."""
-    d = game_value(g)
-    s = game_value(g, Variant.STALLER_START)
-    d_skip = game_value(g, Variant.STALLER_SKIPS_FIRST)
-    s_skip = game_value(g, Variant.DOMINATOR_SKIPS_FIRST)
-    p1 = game_value(g, pass_budget=1)
-    p2 = game_value(g, pass_budget=2)
-    return [
-        _claim("skip/d-sandwich", instance, True, d - 1 <= d_skip <= d + 1),
-        _claim("skip/s-sandwich", instance, True, s - 1 <= s_skip <= s + 1),
-        _claim("pass/bound-k1", instance, True, d <= p1 <= d + 1),
-        _claim("pass/bound-k2", instance, True, d <= p2 <= d + 2),
-        _claim("pass/monotone", instance, True, p1 <= p2),
-    ]
-
-
 @dataclass
 class ScanResult:
     """Per-vertex predomination survey of one graph."""
@@ -273,15 +219,17 @@ def predomination_scan(g: Graph, instance: str = "",
     ``candidate`` flags graphs where every vertex shifts the value and at
     least one vertex strictly increases it; such graphs answer an open
     question, so they are reported, never asserted to (not) exist.  Stuck
-    outcomes are listed separately and excluded from the shift extremes.
+    outcomes are listed separately and excluded from the shift extremes;
+    when the base game itself is stuck, no vertex has a shift.
     """
     base = game_value(g, time_budget=time_budget)
     per_vertex = [game_value(g, predominated=1 << v, time_budget=time_budget)
                   for v in range(g.n)]
     nevers = [v for v, val in enumerate(per_vertex) if is_never(val)]
-    finite = [val for val in per_vertex if not is_never(val)]
-    max_inc = max((int(val - base) for val in finite), default=None)
-    max_dec = max((int(base - val) for val in finite), default=None)
+    shifts = [] if is_never(base) else [int(val - base) for val in per_vertex
+                                        if not is_never(val)]
+    max_inc = max(shifts, default=None)
+    max_dec = max((-shift for shift in shifts), default=None)
     all_shift = not is_never(base) and all(val != base for val in per_vertex)
     candidate = all_shift and max_inc is not None and max_inc > 0
     return ScanResult(instance=instance, value=base, per_vertex=per_vertex,
@@ -291,181 +239,73 @@ def predomination_scan(g: Graph, instance: str = "",
 
 
 # ---------------------------------------------------------------------------
-# the named suite
+# the corpus value table
 
-def _aggregate(claim: str, instances: Iterable[tuple[str, bool]],
-               elapsed: float) -> ClaimResult:
-    bad = [name for name, ok in instances if not ok]
-    observed = "0 violations" if not bad else f"{len(bad)} violations: " + ", ".join(bad[:5])
-    return _claim(claim, "corpus", "0 violations", observed, elapsed)
+@dataclass
+class _Row:
+    """Game values of one corpus graph, solved on first use and cached
+    under the plain tuple ``(variant, k, pre)``."""
+    g: Graph
+    name: str
+    time_budget: float | None
+    values: dict[tuple[Variant, int, int], GameValue] = field(default_factory=dict)
 
-
-def _group_paths_cycles(corpus, time_budget) -> list[ClaimResult]:
-    claims = []
-    for n in range(3, 11):
-        g = families.path(n)
-        claims.append(_claim("path/d", f"path:{n}", n - 2, game_value(g)))
-        claims.append(_claim("path/s", f"path:{n}", n - 1,
-                             game_value(g, Variant.STALLER_START)))
-    for n in range(4, 9):
-        g = families.cycle(n)
-        claims.append(_claim("cycle/d", f"cycle:{n}", n - 2, game_value(g)))
-        per_vertex = [game_value(g, predominated=1 << v) for v in range(n)]
-        claims.append(_claim("cycle/predominated", f"cycle:{n}",
-                             [n - 3] * n, per_vertex))
-    return claims
+    def value(self, variant: Variant = Variant.DOMINATOR_START, k: int = 0,
+              pre: int = 0) -> GameValue:
+        key = (variant, k, pre)
+        if key not in self.values:
+            self.values[key] = game_value(self.g, variant, k, pre, self.time_budget)
+        return self.values[key]
 
 
-def _group_small_values(corpus, time_budget) -> list[ClaimResult]:
-    start = time.monotonic()
-    rows: dict[str, list[tuple[str, bool]]] = {}
-    for i, g in enumerate(corpus):
-        for c in check_small_values(g, f"corpus[{i}]"):
-            rows.setdefault(c.claim, []).append((c.instance, c.verdict == PASS))
-    elapsed = time.monotonic() - start
-    return [_aggregate(claim, pairs, elapsed) for claim, pairs in sorted(rows.items())]
+def _small_values(row: _Row):
+    """The four exact characterizations of game values 1 and 2."""
+    g, d, s = row.g, row.value(), row.value(Variant.STALLER_START)
+    yield "small-value/d-one", row.name, has_universal_vertex(g) == (d == 1)
+    yield "small-value/s-one", row.name, is_complete(g) == (s == 1)
+    yield "small-value/d-two", row.name, is_join_two_noncomplete(g) == (d == 2)
+    yield "small-value/s-two", row.name, is_join_some_noncomplete(g) == (s == 2)
 
 
-def _group_diameter(corpus, time_budget) -> list[ClaimResult]:
-    start = time.monotonic()
-    rows: dict[str, list[tuple[str, bool]]] = {}
-    for i, g in enumerate(corpus):
-        for c in check_diameter_bounds(g, f"corpus[{i}]"):
-            rows.setdefault(c.claim, []).append((c.instance, c.verdict == PASS))
-    elapsed = time.monotonic() - start
-    claims = [_aggregate(claim, pairs, elapsed) for claim, pairs in sorted(rows.items())]
-    p8 = families.path(8)
-    claims.append(_claim("diameter/tight-d", "path:8", diameter(p8) - 1, game_value(p8)))
-    claims.append(_claim("diameter/tight-s", "path:8", diameter(p8),
-                         game_value(p8, Variant.STALLER_START)))
-    return claims
+def _diameter_bounds(row: _Row):
+    """diam(G) <= d-game value + 1 and diam(G) <= s-game value."""
+    dia = diameter(row.g)
+    yield "diameter/d-bound", row.name, dia <= row.value() + 1
+    yield "diameter/s-bound", row.name, dia <= row.value(Variant.STALLER_START)
 
 
-def _group_hamming(corpus, time_budget) -> list[ClaimResult]:
-    claims = []
-    for dims in ((2, 4), (2, 5)):
-        g = families.hamming(*dims)
-        instance = "hamming:" + ",".join(map(str, dims))
-        claims.append(_claim("hamming/d", instance, 3, game_value(g)))
-        claims.append(_claim("hamming/s", instance, 2,
-                             game_value(g, Variant.STALLER_START)))
-    return claims
+def _staller_start(row: _Row):
+    """d - 1 <= s-game value <= 2d."""
+    d, s = row.value(), row.value(Variant.STALLER_START)
+    yield "staller-start/sandwich", row.name, d - 1 <= s <= 2 * d
 
 
-def _group_staller_start(corpus, time_budget) -> list[ClaimResult]:
-    start = time.monotonic()
-    pairs = []
-    for i, g in enumerate(corpus):
-        d = game_value(g)
-        s = game_value(g, Variant.STALLER_START)
-        pairs.append((f"corpus[{i}]", d - 1 <= s <= 2 * d))
-    claims = [_aggregate("staller-start/sandwich", pairs, time.monotonic() - start)]
-    for n in (2, 3, 4):
-        claims.extend(check_gadget_family(n))
-    return claims
+def _skip(row: _Row):
+    """Skip variants stay within one move of the plain games."""
+    d, s = row.value(), row.value(Variant.STALLER_START)
+    d_skip = row.value(Variant.STALLER_SKIPS_FIRST)
+    s_skip = row.value(Variant.DOMINATOR_SKIPS_FIRST)
+    yield "skip/d-sandwich", row.name, d - 1 <= d_skip <= d + 1
+    yield "skip/s-sandwich", row.name, s - 1 <= s_skip <= s + 1
 
 
-def _group_skip(corpus, time_budget) -> list[ClaimResult]:
-    start = time.monotonic()
-    d_rows, s_rows = [], []
-    for i, g in enumerate(corpus):
-        d = game_value(g)
-        s = game_value(g, Variant.STALLER_START)
-        d_skip = game_value(g, Variant.STALLER_SKIPS_FIRST)
-        s_skip = game_value(g, Variant.DOMINATOR_SKIPS_FIRST)
-        d_rows.append((f"corpus[{i}]", d - 1 <= d_skip <= d + 1))
-        s_rows.append((f"corpus[{i}]", s - 1 <= s_skip <= s + 1))
-    elapsed = time.monotonic() - start
-    claims = [_aggregate("skip/d-sandwich", d_rows, elapsed),
-              _aggregate("skip/s-sandwich", s_rows, elapsed)]
-    for n in range(3, 9):
-        claims.append(_claim("skip/path", f"path:{n}", n - 2,
-                             game_value(families.path(n), Variant.STALLER_SKIPS_FIRST)))
-    f2 = families.fan_chain(2, 8)
-    claims.append(_claim("fan/d", "fan:2,8", 3, game_value(f2)))
-    claims.append(_claim("skip/fan", "fan:2,8", 4,
-                         game_value(f2, Variant.STALLER_SKIPS_FIRST)))
-    h1 = families.hat_chain(1)
-    claims.append(_timed_claim("hat/d", "hat:1", 6,
-                               lambda: game_value(h1, time_budget=time_budget),
-                               time_budget))
-    claims.append(_timed_claim("skip/hat", "hat:1", 5,
-                               lambda: game_value(h1, Variant.STALLER_SKIPS_FIRST,
-                                                  time_budget=time_budget),
-                               time_budget))
-    return claims
+def _pass(row: _Row):
+    """Pass budgets help Staller by at most one move each and never hurt her."""
+    d, p1, p2 = row.value(), row.value(k=1), row.value(k=2)
+    yield "pass/bound-k1", row.name, d <= p1 <= d + 1
+    yield "pass/bound-k2", row.name, d <= p2 <= d + 2
+    yield "pass/monotone", row.name, p1 <= p2
 
 
-def _group_pass(corpus, time_budget) -> list[ClaimResult]:
-    start = time.monotonic()
-    k1_rows, k2_rows, mono_rows = [], [], []
-    for i, g in enumerate(corpus):
-        d = game_value(g)
-        p1 = game_value(g, pass_budget=1)
-        p2 = game_value(g, pass_budget=2)
-        name = f"corpus[{i}]"
-        k1_rows.append((name, d <= p1 <= d + 1))
-        k2_rows.append((name, d <= p2 <= d + 2))
-        mono_rows.append((name, p1 <= p2))
-    elapsed = time.monotonic() - start
-    return [_aggregate("pass/bound-k1", k1_rows, elapsed),
-            _aggregate("pass/bound-k2", k2_rows, elapsed),
-            _aggregate("pass/monotone", mono_rows, elapsed)]
-
-
-_LEX_LEFT = [("path:2", 2), ("path:3", 3), ("path:4", 4), ("cycle:4", 4),
-             ("cycle:5", 5), ("complete:2", 2), ("complete:3", 3)]
-_LEX_RIGHT = [("complete:1", 1), ("complete:2", 2), ("complete:3", 3),
-              ("path:3", 3), ("path:4", 4), ("cycle:4", 4)]
-
-
-def _group_lexicographic(corpus, time_budget) -> list[ClaimResult]:
-    claims = []
-    for g_name, gn in _LEX_LEFT:
-        for h_name, hn in _LEX_RIGHT:
-            if gn * hn > 20:
-                continue
-            g = families.graph_from_spec(g_name)
-            h = families.graph_from_spec(h_name)
-            claims.extend(check_lexicographic(g, h, g_name, h_name))
-    return claims
-
-
-def _group_predomination(corpus, time_budget) -> list[ClaimResult]:
-    fig = families.predomination_penalty_graph()
-    c = 1 << fig.vertex_by_label("c")
-    claims = [
-        _claim("predomination/penalty-base", "fig3", 7, game_value(fig)),
-        _claim("predomination/penalty-shifted", "fig3|c", 8,
-               game_value(fig, predominated=c)),
-    ]
-    p5 = families.path(5)
-    mid = 1 << 2
-    interior = 0b01110
-    claims.append(_claim("predomination/path-stuck-s", "path:5|2", NEVER,
-                         game_value(p5, Variant.STALLER_START, predominated=mid)))
-    claims.append(_claim("predomination/path-stuck-d", "path:5|1,2,3", NEVER,
-                         game_value(p5, predominated=interior)))
-    start = time.monotonic()
-    cut_rows, exist_rows = [], []
-    for i, g in enumerate(corpus):
-        name = f"corpus[{i}]"
-        base = game_value(g)
-        per_vertex = [game_value(g, predominated=1 << v) for v in range(g.n)]
-        for u in bits(cut_vertices(g)):
-            cut_rows.append((f"{name}|{u}", per_vertex[u] >= base))
-        exist_rows.append((name, any(val <= base for val in per_vertex)))
-    elapsed = time.monotonic() - start
-    claims.append(_aggregate("predomination/cut-vertex", cut_rows, elapsed))
-    claims.append(_aggregate("predomination/opening-not-worse", exist_rows, elapsed))
-    return claims
-
-
-def _group_ladders(corpus, time_budget) -> list[ClaimResult]:
-    claims = []
-    for n in (4, 5, 6, 7):
-        claims.extend(check_ladders(n))
-    return claims
+def _predomination(row: _Row):
+    """Predominating a cut vertex never shortens the game, and some vertex
+    predominates without lengthening it."""
+    base = row.value()
+    per_vertex = [row.value(pre=1 << v) for v in range(row.g.n)]
+    for u in bits(cut_vertices(row.g)):
+        yield "predomination/cut-vertex", f"{row.name}|{u}", per_vertex[u] >= base
+    yield ("predomination/opening-not-worse", row.name,
+           any(val <= base for val in per_vertex))
 
 
 #: the (variant, pass budget) combinations the oracle sweep covers
@@ -485,17 +325,174 @@ def oracle_configs_for(g: Graph) -> list[GameConfig]:
     return configs
 
 
-def _group_oracle(corpus, time_budget) -> list[ClaimResult]:
+def _oracle(row: _Row):
+    """The row's values, the ones every other corpus claim reads, agree
+    with the naive oracle."""
+    for cfg in oracle_configs_for(row.g):
+        value = row.value(cfg.variant, cfg.pass_budget, cfg.predominated)
+        yield ("oracle/agreement",
+               f"{row.name}/{cfg.variant.value}/k{cfg.pass_budget}/p{cfg.predominated}",
+               value == solve_naive(row.g, cfg))
+
+
+#: the corpus claims of each group that has them, in record order, and the
+#: predicate yielding ``(claim, instance, holds)`` for one table row
+_CORPUS_CLAIMS: dict[str, tuple[tuple[str, ...], Callable[[_Row], Iterable]]] = {
+    "small-values": (("small-value/d-one", "small-value/d-two",
+                      "small-value/s-one", "small-value/s-two"), _small_values),
+    "diameter": (("diameter/d-bound", "diameter/s-bound"), _diameter_bounds),
+    "staller-start": (("staller-start/sandwich",), _staller_start),
+    "skip": (("skip/d-sandwich", "skip/s-sandwich"), _skip),
+    "pass": (("pass/bound-k1", "pass/bound-k2", "pass/monotone"), _pass),
+    "predomination": (("predomination/cut-vertex",
+                       "predomination/opening-not-worse"), _predomination),
+    "oracle": (("oracle/agreement",), _oracle),
+}
+
+
+def _aggregate(claim: str, bad: list[str], elapsed: float) -> ClaimResult:
+    observed = "0 violations" if not bad else f"{len(bad)} violations: " + ", ".join(bad[:5])
+    return _claim(claim, "corpus", "0 violations", observed, elapsed)
+
+
+def _corpus_claims(group: str, table: list[_Row]) -> list[ClaimResult]:
+    """One aggregate record per corpus claim of ``group``, its predicate
+    applied to every row.  A solve past the time budget reports each of
+    the group's corpus claims as budget-exceeded."""
+    claims, predicate = _CORPUS_CLAIMS[group]
     start = time.monotonic()
-    rows = []
-    for i, g in enumerate(corpus):
-        for cfg in oracle_configs_for(g):
-            fast = solve(g, cfg).value
-            slow = solve_naive(g, cfg)
-            ok = fast == slow
-            rows.append((f"corpus[{i}]/{cfg.variant.value}/k{cfg.pass_budget}"
-                         f"/p{cfg.predominated}", ok))
-    return [_aggregate("oracle/agreement", rows, time.monotonic() - start)]
+    bad: dict[str, list[str]] = {claim: [] for claim in claims}
+    try:
+        for row in table:
+            for claim, instance, holds in predicate(row):
+                if not holds:
+                    bad[claim].append(instance)
+    except BudgetExceeded:
+        return [ClaimResult(claim, "corpus", "0 violations", "budget exceeded", BUDGET,
+                            time.monotonic() - start) for claim in claims]
+    elapsed = time.monotonic() - start
+    return [_aggregate(claim, bad[claim], elapsed) for claim in claims]
+
+
+# ---------------------------------------------------------------------------
+# the named suite
+
+def _group_paths_cycles(table, time_budget) -> list[ClaimResult]:
+    claims = []
+    for n in range(3, 11):
+        g = families.path(n)
+        claims.append(_claim("path/d", f"path:{n}", n - 2, game_value(g)))
+        claims.append(_claim("path/s", f"path:{n}", n - 1,
+                             game_value(g, Variant.STALLER_START)))
+    for n in range(4, 9):
+        g = families.cycle(n)
+        claims.append(_claim("cycle/d", f"cycle:{n}", n - 2, game_value(g)))
+        per_vertex = [game_value(g, predominated=1 << v) for v in range(n)]
+        claims.append(_claim("cycle/predominated", f"cycle:{n}",
+                             [n - 3] * n, per_vertex))
+    return claims
+
+
+def _group_small_values(table, time_budget) -> list[ClaimResult]:
+    return _corpus_claims("small-values", table)
+
+
+def _group_diameter(table, time_budget) -> list[ClaimResult]:
+    claims = _corpus_claims("diameter", table)
+    p8 = families.path(8)
+    claims.append(_claim("diameter/tight-d", "path:8", diameter(p8) - 1, game_value(p8)))
+    claims.append(_claim("diameter/tight-s", "path:8", diameter(p8),
+                         game_value(p8, Variant.STALLER_START)))
+    return claims
+
+
+def _group_hamming(table, time_budget) -> list[ClaimResult]:
+    claims = []
+    for dims in ((2, 4), (2, 5)):
+        g = families.hamming(*dims)
+        instance = "hamming:" + ",".join(map(str, dims))
+        claims.append(_claim("hamming/d", instance, 3, game_value(g)))
+        claims.append(_claim("hamming/s", instance, 2,
+                             game_value(g, Variant.STALLER_START)))
+    return claims
+
+
+def _group_staller_start(table, time_budget) -> list[ClaimResult]:
+    claims = _corpus_claims("staller-start", table)
+    for n in (2, 3, 4):
+        claims.extend(check_gadget_family(n))
+    return claims
+
+
+def _group_skip(table, time_budget) -> list[ClaimResult]:
+    claims = _corpus_claims("skip", table)
+    for n in range(3, 9):
+        claims.append(_claim("skip/path", f"path:{n}", n - 2,
+                             game_value(families.path(n), Variant.STALLER_SKIPS_FIRST)))
+    f2 = families.fan_chain(2, 8)
+    claims.append(_claim("fan/d", "fan:2,8", 3, game_value(f2)))
+    claims.append(_claim("skip/fan", "fan:2,8", 4,
+                         game_value(f2, Variant.STALLER_SKIPS_FIRST)))
+    h1 = families.hat_chain(1)
+    claims.append(_timed_claim("hat/d", "hat:1", 6,
+                               lambda: game_value(h1, time_budget=time_budget),
+                               time_budget))
+    claims.append(_timed_claim("skip/hat", "hat:1", 5,
+                               lambda: game_value(h1, Variant.STALLER_SKIPS_FIRST,
+                                                  time_budget=time_budget),
+                               time_budget))
+    return claims
+
+
+def _group_pass(table, time_budget) -> list[ClaimResult]:
+    return _corpus_claims("pass", table)
+
+
+_LEX_LEFT = [("path:2", 2), ("path:3", 3), ("path:4", 4), ("cycle:4", 4),
+             ("cycle:5", 5), ("complete:2", 2), ("complete:3", 3)]
+_LEX_RIGHT = [("complete:1", 1), ("complete:2", 2), ("complete:3", 3),
+              ("path:3", 3), ("path:4", 4), ("cycle:4", 4)]
+
+
+def _group_lexicographic(table, time_budget) -> list[ClaimResult]:
+    claims = []
+    for g_name, gn in _LEX_LEFT:
+        for h_name, hn in _LEX_RIGHT:
+            if gn * hn > 20:
+                continue
+            g = families.graph_from_spec(g_name)
+            h = families.graph_from_spec(h_name)
+            claims.extend(check_lexicographic(g, h, g_name, h_name))
+    return claims
+
+
+def _group_predomination(table, time_budget) -> list[ClaimResult]:
+    fig = families.predomination_penalty_graph()
+    c = 1 << fig.vertex_by_label("c")
+    claims = [
+        _claim("predomination/penalty-base", "fig3", 7, game_value(fig)),
+        _claim("predomination/penalty-shifted", "fig3|c", 8,
+               game_value(fig, predominated=c)),
+    ]
+    p5 = families.path(5)
+    mid = 1 << 2
+    interior = 0b01110
+    claims.append(_claim("predomination/path-stuck-s", "path:5|2", NEVER,
+                         game_value(p5, Variant.STALLER_START, predominated=mid)))
+    claims.append(_claim("predomination/path-stuck-d", "path:5|1,2,3", NEVER,
+                         game_value(p5, predominated=interior)))
+    return claims + _corpus_claims("predomination", table)
+
+
+def _group_ladders(table, time_budget) -> list[ClaimResult]:
+    claims = []
+    for n in (4, 5, 6, 7):
+        claims.extend(check_ladders(n))
+    return claims
+
+
+def _group_oracle(table, time_budget) -> list[ClaimResult]:
+    return _corpus_claims("oracle", table)
 
 
 GROUPS: dict[str, Callable] = {
@@ -512,10 +509,6 @@ GROUPS: dict[str, Callable] = {
     "oracle": _group_oracle,
 }
 
-#: groups that iterate over the graph corpus
-CORPUS_GROUPS = frozenset(("small-values", "diameter", "staller-start", "skip",
-                           "pass", "predomination", "oracle"))
-
 
 def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = None,
               time_budget: float = 60.0) -> list[ClaimResult]:
@@ -524,9 +517,10 @@ def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = N
     unknown = [n for n in selected if n not in GROUPS]
     if unknown:
         raise ValueError(f"unknown claim groups: {', '.join(unknown)}")
-    if corpus is None and any(n in CORPUS_GROUPS for n in selected):
+    if corpus is None and any(n in _CORPUS_CLAIMS for n in selected):
         corpus = load_corpus()
+    table = [_Row(g, f"corpus[{i}]", time_budget) for i, g in enumerate(corpus or [])]
     results = []
     for name in selected:
-        results.extend(GROUPS[name](corpus, time_budget))
+        results.extend(GROUPS[name](table, time_budget))
     return results

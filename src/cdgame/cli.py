@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
 from . import analysis, families
 from .engine import (PASS, GameConfig, GameState, Player, Status, Variant,
@@ -107,12 +108,12 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     corpus = None
-    if args.corpus:
-        if not os.path.exists(args.corpus):
-            raise CliError(f"corpus file not found: {args.corpus}")
-        corpus = analysis.load_corpus(args.corpus)
     names = args.only or None
     try:
+        if args.corpus:
+            if not os.path.exists(args.corpus):
+                raise CliError(f"corpus file not found: {args.corpus}")
+            corpus = analysis.load_corpus(args.corpus)
         results = analysis.run_suite(names, corpus=corpus, time_budget=args.time_budget)
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -152,21 +153,27 @@ def cmd_scan(args) -> int:
     if not os.path.exists(args.corpus):
         raise CliError(f"corpus file not found: {args.corpus}")
     with open(args.corpus, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    jobs = [(i, line, args.time_budget) for i, line in enumerate(lines, start=1)]
+        numbered = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    for lineno, line in numbered:  # reject a bad line before any record is out
+        try:
+            parse_graph6(line)
+        except ValueError as exc:
+            raise CliError(f"{args.corpus}:{lineno}: {exc}") from None
+    jobs = [(i, line, args.time_budget) for i, (_, line) in enumerate(numbered, start=1)]
     threads = args.threads or int(os.environ.get("CDGAME_THREADS", "1"))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(_scan_one, jobs, chunksize=8))
-    else:
-        records = [_scan_one(job) for job in jobs]
-    out = open(args.output, "w", encoding="ascii") if args.output else sys.stdout
-    try:
-        for record in records:
+    records = []
+    with ExitStack() as stack:
+        out = (stack.enter_context(open(args.output, "w", encoding="ascii"))
+               if args.output else sys.stdout)
+        if threads > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+            results = pool.map(_scan_one, jobs, chunksize=8)
+        else:
+            results = map(_scan_one, jobs)
+        for record in results:
             out.write(json.dumps(record) + "\n")
-    finally:
-        if args.output:
-            out.close()
+            out.flush()  # a killed scan keeps every record finished so far
+            records.append(record)
     scanned = [r for r in records if "max_increase" in r]
     increases = [r["max_increase"] for r in scanned if r["max_increase"] is not None]
     decreases = [r["max_decrease"] for r in scanned if r["max_decrease"] is not None]

@@ -189,11 +189,6 @@ def game_value(g: Graph, variant: Variant = Variant.DOMINATOR_START,
     return _Search(g, cfg, deadline).evaluate(GameState(0, pass_budget))
 
 
-def value_with_predominated(g: Graph, variant, predominated: int) -> GameValue:
-    """Game value when ``predominated`` counts as dominated from move zero."""
-    return game_value(g, variant=variant, predominated=predominated)
-
-
 def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     """A minimax-optimal action for the mover at ``st``; ties broken by
     smallest vertex index with pass considered last.  The game must be

@@ -1,18 +1,17 @@
 import json
+from collections import Counter
 
 import pytest
 
-from cdgame.analysis import (BUDGET, FAIL, PASS, check_cut_vertex,
-                             check_diameter_bounds, check_gadget_family,
-                             check_ladders, check_lexicographic,
-                             check_skip_and_pass, check_small_values,
-                             cut_vertices, load_corpus, predomination_scan,
-                             run_suite)
-from cdgame.engine import Variant
+from cdgame import analysis
+from cdgame.analysis import (BUDGET, FAIL, PASS, check_gadget_family,
+                             check_ladders, check_lexicographic, cut_vertices,
+                             load_corpus, predomination_scan, run_suite)
+from cdgame.engine import GameConfig, Variant
 from cdgame.families import (complete, cycle, fan_chain, hat_chain, path,
                              predomination_penalty_graph, random_tree, star)
-from cdgame.graph import bits, connected_domination_number, mask_of
-from cdgame.solver import game_value
+from cdgame.graph import bits, connected_domination_number, mask_of, parse_graph6
+from cdgame.solver import game_value, solve
 
 
 def _all_pass(claims):
@@ -20,18 +19,18 @@ def _all_pass(claims):
 
 
 def test_small_values_on_named_graphs():
-    assert _all_pass(check_small_values(cycle(4), "cycle:4"))
-    assert _all_pass(check_small_values(complete(6), "complete:6"))
+    assert _all_pass(run_suite(["small-values"], corpus=[cycle(4)]))
+    assert _all_pass(run_suite(["small-values"], corpus=[complete(6)]))
     # frozen solver values for P_6: d-game 4, s-game 5; all four biconditionals
     # then hold with both sides false
     assert game_value(path(6)) == 4
     assert game_value(path(6), Variant.STALLER_START) == 5
-    assert _all_pass(check_small_values(path(6), "path:6"))
+    assert _all_pass(run_suite(["small-values"], corpus=[path(6)]))
 
 
 def test_diameter_bounds_on_named_graphs():
     for g in (path(8), complete(1), cycle(7), star(4)):
-        assert _all_pass(check_diameter_bounds(g, "x"))
+        assert _all_pass(run_suite(["diameter"], corpus=[g]))
 
 
 def test_gadget_family_claims():
@@ -78,18 +77,44 @@ def test_cut_vertices():
 
 
 def test_check_cut_vertex():
-    assert _all_pass(check_cut_vertex(path(6), "path:6"))
-    assert _all_pass(check_cut_vertex(star(5), "star:5"))
     fig = predomination_penalty_graph()
-    claims = check_cut_vertex(fig, "fig3")
-    assert _all_pass(claims)
-    c_claim = [c for c in claims if c.instance == "fig3|c"]
-    assert c_claim and c_claim[0].observed is True
+    for g in (path(6), star(5), fig):
+        assert _all_pass(run_suite(["predomination"], corpus=[g]))
+        # stronger than the suite's opening-not-worse claim: predominating
+        # the principal line's own first move does not lengthen the game
+        opening = solve(g, GameConfig(Variant.DOMINATOR_START)).principal_line[0][1]
+        assert game_value(g, predominated=1 << opening) <= game_value(g)
+    c = fig.vertex_by_label("c")
+    assert cut_vertices(fig) >> c & 1
+    assert game_value(fig, predominated=1 << c) > game_value(fig)
 
 
 def test_check_skip_and_pass():
-    assert _all_pass(check_skip_and_pass(path(6), "path:6"))
-    assert _all_pass(check_skip_and_pass(fan_chain(2, 8), "fan:2,8"))
+    assert _all_pass(run_suite(["skip", "pass"], corpus=[path(6)]))
+    assert _all_pass(run_suite(["skip", "pass"], corpus=[fan_chain(2, 8)]))
+
+
+def test_corpus_values_are_solved_once(monkeypatch):
+    graphs = [path(4), cycle(5), complete(3)]
+    calls = Counter()
+    real = analysis.game_value
+
+    def counting(g, variant=Variant.DOMINATOR_START, pass_budget=0,
+                 predominated=0, time_budget=None):
+        for i, h in enumerate(graphs):
+            if g is h:
+                calls[i, variant, pass_budget, predominated] += 1
+        return real(g, variant, pass_budget, predominated, time_budget)
+
+    monkeypatch.setattr(analysis, "game_value", counting)
+    assert _all_pass(run_suite(corpus=graphs)[-1:])  # the oracle agrees
+    assert set(calls.values()) == {1}
+    for i, g in enumerate(graphs):
+        assert sum(key[0] == i for key in calls) == 8 * (g.n + 1)
+    calls.clear()
+    run_suite(["small-values"], corpus=graphs)
+    assert set(calls) == {(i, v, 0, 0) for i in range(3)
+                          for v in (Variant.DOMINATOR_START, Variant.STALLER_START)}
 
 
 def test_skip_family_values():
@@ -122,6 +147,15 @@ def test_predomination_scan_penalty_graph():
     record = scan.to_record()
     json.dumps(record)  # schema is JSON-clean
     assert record["per_vertex"][fig.vertex_by_label("c")] == 8
+
+
+def test_predomination_scan_stuck_base_game():
+    # two isolated vertices: the plain game is stuck, yet predominating
+    # either vertex lets one move finish it
+    record = predomination_scan(parse_graph6("A?")).to_record()
+    assert record["value"] == "never" and record["per_vertex"] == [1, 1]
+    assert record["max_increase"] is None and record["max_decrease"] is None
+    assert not record["all_vertices_shift"] and not record["candidate"]
 
 
 def test_predomination_scan_reports_never_distinctly():
@@ -161,6 +195,12 @@ def test_exhausted_budget_is_reported_distinctly():
     assert {c.claim for c in budgeted} == {"hat/d", "skip/hat"}
     assert all(c.observed == "budget exceeded" for c in budgeted)
     assert not any(c.verdict == FAIL for c in claims)
+
+
+def test_corpus_claims_honour_time_budget():
+    claims = run_suite(["pass"], corpus=[path(6)], time_budget=1e-9)
+    assert [c.verdict for c in claims] == [BUDGET] * 3
+    assert all(c.observed == "budget exceeded" for c in claims)
 
 
 def test_claim_records_are_stable():

@@ -113,6 +113,25 @@ def test_verify_missing_corpus():
     assert "not found" in out.stderr
 
 
+def test_verify_bad_graph6_line(tmp_path):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("A_\n\n!!\n")
+    out = run_cli("verify", "--only", "pass", "--corpus", str(corpus))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {corpus}:3: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_scan_bad_graph6_line(tmp_path):
+    corpus = tmp_path / "bad.g6"
+    corpus.write_text("A_\n\nA_\nB!\n")
+    out = run_cli("scan", "--corpus", str(corpus))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {corpus}:4: ")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""  # checked before any record is written
+
+
 def test_scan_jsonl(tmp_path):
     corpus = tmp_path / "two.g6"
     corpus.write_text(emit_graph6(cycle(6)) + "\n"
@@ -134,6 +153,23 @@ def test_scan_threads_match_sequential(tmp_path, corpus):
     par = run_cli("scan", "--corpus", str(path_), "--threads", "2")
     assert seq.returncode == par.returncode == 0
     assert seq.stdout == par.stdout
+
+
+def test_scan_streams_finished_records(tmp_path, monkeypatch):
+    corpus = tmp_path / "three.g6"
+    corpus.write_text("A_\nBw\nCF\n")
+    real = cli._scan_one
+
+    def interrupted(job):
+        if job[0] == 3:
+            raise KeyboardInterrupt
+        return real(job)
+
+    monkeypatch.setattr(cli, "_scan_one", interrupted)
+    target = tmp_path / "scan.jsonl"
+    argv = ["scan", "--corpus", str(corpus), "--output", str(target), "--threads", "1"]
+    assert cli.main(argv) == 130
+    assert [json.loads(ln)["line"] for ln in target.read_text().splitlines()] == [1, 2]
 
 
 def test_play_engine_opening_and_reprompt():

@@ -8,8 +8,7 @@ from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
                              path, predomination_penalty_graph)
 from cdgame.graph import Graph, connected_domination_number
 from cdgame.solver import (NEVER, BudgetExceeded, format_value, game_value,
-                           is_never, optimal_move, solve, solve_naive,
-                           value_with_predominated)
+                           is_never, optimal_move, solve, solve_naive)
 
 from .conftest import connected_graphs
 
@@ -54,11 +53,11 @@ def test_skip_variant_path():
 
 def test_value_with_predominated():
     p7 = path(7)
-    assert value_with_predominated(p7, VD, 1 << 0) == 4
-    assert value_with_predominated(p7, VD, 1 << 3) == 5
+    assert game_value(p7, VD, predominated=1 << 0) == 4
+    assert game_value(p7, VD, predominated=1 << 3) == 5
     cl5 = circular_ladder(5)
     for v in range(cl5.n):
-        assert value_with_predominated(cl5, VD, 1 << v) == 5
+        assert game_value(cl5, VD, predominated=1 << v) == 5
 
 
 def test_naive_matches_on_cycles():

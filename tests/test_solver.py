@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from cdgame.engine import (PASS, GameConfig, GameState, Player, Status,
                            Variant, apply_move, apply_pass, status)
 from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
-                             path, predomination_penalty_graph)
+                             graph_from_spec, path, predomination_penalty_graph)
 from cdgame.graph import Graph, connected_domination_number
 from cdgame.solver import (NEVER, BudgetExceeded, format_value, game_value,
                            is_never, optimal_move, solve, solve_naive)
@@ -138,6 +138,31 @@ def test_deterministic_reports():
     assert a.principal_line == b.principal_line
     assert a.states_expanded == b.states_expanded
     assert a.memo_hits == b.memo_hits
+
+
+# value, states expanded, memo hits and principal line of `cdgame solve` on
+# five instances; a change to the search must reproduce all four exactly
+_SOLVE_GATE = [
+    ("cart:path:4,path:5", VD, 0, None, 11, 43764, 65076,
+     "D:6 S:1 D:7 S:2 D:11 S:3 D:8 S:9 D:16 S:13 D:14"),
+    ("fan:3,8", VS, 1, None, 7, 6494, 4897,
+     "S:r1 D:h1 S:r7 D:h2 S:pass D:r13 S:r14 D:h3"),
+    ("cl:6", Variant.STALLER_SKIPS_FIRST, 0, None, 7, 439, 488,
+     "D:(1,1) D:(1,2) S:(2,1) D:(2,2) S:(3,1) D:(4,1) S:(4,2)"),
+    ("fig3", VD, 0, "c", 8, 62, 48, "D:b S:a D:c S:d D:e S:e' D:f S:g"),
+    ("gn:3", VD, 2, None, 3, 243, 118, "D:u3 S:u2 D:u1"),
+]
+
+
+@pytest.mark.parametrize("spec, variant, k, pre, value, states, hits, line", _SOLVE_GATE)
+def test_solve_output_is_pinned(spec, variant, k, pre, value, states, hits, line):
+    g = predomination_penalty_graph() if spec == "fig3" else graph_from_spec(spec)
+    cfg = GameConfig(variant, k, 0 if pre is None else 1 << g.vertex_by_label(pre))
+    report = solve(g, cfg)
+    assert report.value == value
+    assert (report.states_expanded, report.memo_hits) == (states, hits)
+    assert " ".join(f"{who.value}:{a if a == PASS else g.label(a)}"
+                    for who, a in report.principal_line) == line
 
 
 def test_budget_exceeded():

@@ -21,7 +21,7 @@ from contextlib import ExitStack
 from . import analysis, families
 from .engine import (PASS, GameConfig, GameState, Player, Status, Variant,
                      apply_move, apply_pass, dominated, legal_moves, mover, status)
-from .graph import Graph, parse_graph6, read_graph6_file
+from .graph import Graph, is_connected, parse_graph6, read_graph6_lines
 from .solver import BudgetExceeded, format_value, is_never, optimal_move, solve
 
 VARIANTS = {
@@ -36,6 +36,16 @@ class CliError(Exception):
     pass
 
 
+def _read_corpus(path: str) -> list[tuple[int, str, Graph]]:
+    """The numbered lines of a graph6 file; a missing file or bad line is bad input."""
+    if not os.path.exists(path):
+        raise CliError(f"file not found: {path}")
+    try:
+        return read_graph6_lines(path)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+
+
 def _load_graph(args) -> Graph:
     sources = [s for s in (args.family, args.graph6, args.input) if s]
     if len(sources) != 1:
@@ -45,10 +55,10 @@ def _load_graph(args) -> Graph:
             return families.graph_from_spec(args.family)
         if args.graph6:
             return parse_graph6(args.graph6)
-        graphs = read_graph6_file(args.input)
-        if not graphs:
+        entries = _read_corpus(args.input)
+        if not entries:
             raise CliError(f"{args.input}: no graphs found")
-        return graphs[0]
+        return entries[0][2]
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -111,9 +121,11 @@ def cmd_verify(args) -> int:
     names = args.only or None
     try:
         if args.corpus:
-            if not os.path.exists(args.corpus):
-                raise CliError(f"corpus file not found: {args.corpus}")
-            corpus = analysis.load_corpus(args.corpus)
+            corpus = []
+            for lineno, _, g in _read_corpus(args.corpus):
+                if not is_connected(g):  # the game is defined on connected graphs
+                    raise CliError(f"{args.corpus}:{lineno}: graph is disconnected")
+                corpus.append(g)
         results = analysis.run_suite(names, corpus=corpus, time_budget=args.time_budget)
     except ValueError as exc:
         raise CliError(str(exc)) from None
@@ -150,16 +162,8 @@ def _scan_one(job):
 
 
 def cmd_scan(args) -> int:
-    if not os.path.exists(args.corpus):
-        raise CliError(f"corpus file not found: {args.corpus}")
-    with open(args.corpus, "r", encoding="ascii") as fh:
-        numbered = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
-    for lineno, line in numbered:  # reject a bad line before any record is out
-        try:
-            parse_graph6(line)
-        except ValueError as exc:
-            raise CliError(f"{args.corpus}:{lineno}: {exc}") from None
-    jobs = [(i, line, args.time_budget) for i, (_, line) in enumerate(numbered, start=1)]
+    entries = _read_corpus(args.corpus)  # a bad line stops the scan before any record
+    jobs = [(i, line, args.time_budget) for i, (_, line, _) in enumerate(entries, start=1)]
     threads = args.threads or int(os.environ.get("CDGAME_THREADS", "1"))
     records = []
     with ExitStack() as stack:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Graph, bits, closed_neighborhood_set
+from .graph import Graph, closed_neighborhood_set, mask_of
 
 PASS = "pass"
 
@@ -92,13 +92,13 @@ def initial_state(cfg: GameConfig) -> GameState:
     return GameState(played=0, passes_left=cfg.pass_budget)
 
 
-def turn_index(cfg: GameConfig, st: GameState) -> int:
-    """1-based index of the move about to be made."""
-    return st.played.bit_count() + (cfg.pass_budget - st.passes_left) + 1
+def mover_for(cfg: GameConfig, played: int, passes_left: int) -> Player:
+    """Player about to move; the turn index counts moves and passes made."""
+    return mover_at(cfg.variant, played.bit_count() + (cfg.pass_budget - passes_left) + 1)
 
 
 def mover(cfg: GameConfig, st: GameState) -> Player:
-    return mover_at(cfg.variant, turn_index(cfg, st))
+    return mover_for(cfg, st.played, st.passes_left)
 
 
 def dominated(g: Graph, cfg: GameConfig, st: GameState) -> int:
@@ -106,29 +106,31 @@ def dominated(g: Graph, cfg: GameConfig, st: GameState) -> int:
     return closed_neighborhood_set(g, st.played) | cfg.predominated
 
 
-def legal_moves(g: Graph, cfg: GameConfig, st: GameState) -> int:
-    """Mask of playable vertices.
+def playable(g: Graph, played: int, reach: int, dom: int) -> list[int]:
+    """The legality rule, the one copy the engine and the solver share.
 
-    A vertex is playable when its closed neighborhood covers something
-    not yet dominated and (unless the played set is empty) it is adjacent
-    to a played vertex.  Predominated vertices may be played under the
-    same conditions.
+    The vertices, in index order, that may be picked next.  A pick lies in
+    ``reach & ~played``, where ``reach`` is N[played], so it is adjacent to
+    a played vertex; only the opening pick may be any vertex.  Its closed
+    neighborhood must meet something outside ``dom``, the dominated set.
     """
-    dom = dominated(g, cfg, st)
-    undom = g.full_mask & ~dom
-    if undom == 0:
-        return 0
-    moves = 0
-    if st.played == 0:
-        for v in range(g.n):
-            if g.closed[v] & undom:
-                moves |= 1 << v
-    else:
-        candidates = g.full_mask & ~st.played
-        for v in bits(candidates):
-            if g.adj[v] & st.played and g.closed[v] & undom:
-                moves |= 1 << v
+    undom = ~dom
+    closed = g.closed
+    m = reach & ~played if played else g.full_mask
+    moves = []
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        if closed[v] & undom:
+            moves.append(v)
     return moves
+
+
+def legal_moves(g: Graph, cfg: GameConfig, st: GameState) -> int:
+    """Mask of the :func:`playable` vertices at ``st``."""
+    reach = closed_neighborhood_set(g, st.played)
+    return mask_of(playable(g, st.played, reach, reach | cfg.predominated))
 
 
 class Status(enum.Enum):

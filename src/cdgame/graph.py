@@ -417,15 +417,22 @@ def emit_graph6(g: Graph) -> str:
     return "".join(out)
 
 
+def read_graph6_lines(path) -> list[tuple[int, str, Graph]]:
+    """``(line number, text, graph)`` for every nonempty line of a graph6
+    corpus file.  Each line is decoded on its own, so a non-ASCII byte,
+    like a malformed line, raises ``ValueError`` naming ``path:line``."""
+    entries = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("ascii").strip()
+                if line:
+                    entries.append((lineno, line, parse_graph6(line)))
+            except ValueError as exc:  # a UnicodeDecodeError is a ValueError
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return entries
+
+
 def read_graph6_file(path) -> list[Graph]:
     """Parse every nonempty line of a graph6 corpus file."""
-    graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                graphs.append(parse_graph6(line))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return graphs
+    return [g for _, _, g in read_graph6_lines(path)]

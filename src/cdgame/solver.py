@@ -2,10 +2,14 @@
 
 Values are move counts (ints); a game that cannot be finished has the
 value :data:`NEVER`, encoded as ``math.inf`` so it orders above every
-finite count and one comparison drives both players' choices.  The memo
-is keyed on ``(played, passes_left)`` alone: the dominated set follows
-from the played set and the predominated set, and the mover follows from
-the turn index ``|played| + passes consumed``.
+finite count and one comparison drives both players' choices.
+
+The search walks one position ``(played, reach, passes_left)``, where
+``reach`` is N[played]: the dominated set is ``reach`` plus the
+predominated set, the moves are :func:`engine.playable` of it, and the
+mover follows from the turn index ``|played| + passes consumed``.  The
+memo is keyed on ``(played, passes_left)`` alone, since ``reach`` follows
+from ``played``.
 
 ``solve`` is the production path; ``solve_naive`` is a deliberately
 plain recursion with no memo and no shared move-generation code, used to
@@ -18,9 +22,9 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .engine import (PASS, GameConfig, GameState, Player, Status, Variant,
-                     mover_at, status)
-from .graph import Graph, bits
+from .engine import (PASS, GameConfig, GameState, Player, Variant,
+                     mover_at, mover_for, playable)
+from .graph import Graph, closed_neighborhood_set
 
 NEVER = math.inf
 
@@ -49,19 +53,22 @@ class SolveReport:
 
 
 class _Search:
-    """One memoized minimax search over a fixed graph and config."""
+    """One memoized minimax search over a fixed graph and config; the time
+    budget, if any, runs from construction."""
 
-    def __init__(self, g: Graph, cfg: GameConfig, deadline: float | None = None):
+    def __init__(self, g: Graph, cfg: GameConfig, time_budget: float | None = None):
         cfg.validate_for(g)
         self.g = g
         self.cfg = cfg
-        self.deadline = deadline
+        self.start = time.monotonic()
+        self.deadline = self.start + time_budget if time_budget is not None else None
         self.memo: dict[tuple[int, int], GameValue] = {}
         self.expanded = 0
         self.hits = 0
 
-    def value(self, played: int, dom: int, frontier: int, passes_left: int) -> GameValue:
+    def value(self, played: int, reach: int, passes_left: int) -> GameValue:
         g = self.g
+        dom = reach | self.cfg.predominated
         if dom == g.full_mask:
             return played.bit_count()
         key = (played, passes_left)
@@ -71,96 +78,60 @@ class _Search:
             self.hits += 1
             return cached
         self.expanded += 1
-        if self.deadline is not None and self.expanded % 4096 == 0:
+        if self.deadline is not None and self.expanded % 4096 == 1:
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded
-        closed = g.closed
-        adj = g.adj
-        undom = g.full_mask & ~dom
-        moves = []
-        candidates = (frontier & ~played) if played else g.full_mask
-        m = candidates
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            if closed[v] & undom:
-                moves.append(v)
+        moves = playable(g, played, reach, dom)
         if not moves:
             memo[key] = NEVER
             return NEVER
+        # engine.mover_for, inline: this runs once per state
         turn = played.bit_count() + (self.cfg.pass_budget - passes_left) + 1
         dominator = mover_at(self.cfg.variant, turn) is Player.DOMINATOR
         best = NEVER if dominator else -1.0
+        closed = g.closed
         for v in moves:
-            bit = 1 << v
-            child = self.value(played | bit, dom | closed[v], frontier | adj[v],
-                               passes_left)
+            child = self.value(played | (1 << v), reach | closed[v], passes_left)
             if dominator:
                 if child < best:
                     best = child
             elif child > best:
                 best = child
         if not dominator and passes_left > 0:
-            child = self.value(played, dom, frontier, passes_left - 1)
+            child = self.value(played, reach, passes_left - 1)
             if child > best:
                 best = child
         memo[key] = best
         return best
 
-    def root_args(self, st: GameState):
-        g = self.g
-        dom = self.cfg.predominated
-        frontier = 0
-        for v in bits(st.played):
-            dom |= g.closed[v]
-            frontier |= g.adj[v]
-        return st.played, dom, frontier, st.passes_left
-
-    def evaluate(self, st: GameState) -> GameValue:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded
-        return self.value(*self.root_args(st))
-
-    def best_action(self, st: GameState) -> int | str:
-        """Value-achieving action at ``st``: lowest playable vertex first,
-        pass only if no vertex attains the value."""
-        played, dom, frontier, passes_left = self.root_args(st)
-        target = self.value(played, dom, frontier, passes_left)
-        g = self.g
-        undom = g.full_mask & ~dom
-        candidates = (frontier & ~played) if played else g.full_mask
-        for v in bits(candidates):
-            if g.closed[v] & undom:
-                child = self.value(played | (1 << v), dom | g.closed[v],
-                                   frontier | g.adj[v], passes_left)
-                if child == target:
-                    return v
-        turn = played.bit_count() + (self.cfg.pass_budget - passes_left) + 1
-        if (mover_at(self.cfg.variant, turn) is Player.STALLER and passes_left > 0
-                and self.value(played, dom, frontier, passes_left - 1) == target):
+    def best_action(self, played: int, reach: int, passes_left: int) -> int | str:
+        """Value-achieving action: lowest playable vertex first, pass only
+        if no vertex attains the value."""
+        moves = playable(self.g, played, reach, reach | self.cfg.predominated)
+        if not moves:
+            raise ValueError("no legal action: the game is over")
+        target = self.value(played, reach, passes_left)
+        for v in moves:
+            if self.value(played | (1 << v), reach | self.g.closed[v], passes_left) == target:
+                return v
+        if (mover_for(self.cfg, played, passes_left) is Player.STALLER and passes_left > 0
+                and self.value(played, reach, passes_left - 1) == target):
             return PASS
         raise ValueError("no legal action from this state")
 
-    def principal_line(self) -> list[tuple[Player, int | str]]:
+    def principal_line(self, played: int, reach: int,
+                       passes_left: int) -> list[tuple[Player, int | str]]:
+        """Optimal play from the position until the game is won or stuck."""
         line = []
-        st = GameState(0, self.cfg.pass_budget)
-        while True:
-            played, dom, frontier, passes_left = self.root_args(st)
-            if dom == self.g.full_mask:
-                return line
-            undom = self.g.full_mask & ~dom
-            candidates = (frontier & ~played) if played else self.g.full_mask
-            if not any(self.g.closed[v] & undom for v in bits(candidates)):
-                return line  # stuck
-            turn = played.bit_count() + (self.cfg.pass_budget - passes_left) + 1
-            who = mover_at(self.cfg.variant, turn)
-            action = self.best_action(st)
-            line.append((who, action))
+        while playable(self.g, played, reach, reach | self.cfg.predominated):
+            action = self.best_action(played, reach, passes_left)
+            line.append((mover_for(self.cfg, played, passes_left), action))
             if action == PASS:
-                st = GameState(st.played, st.passes_left - 1)
+                passes_left -= 1
             else:
-                st = GameState(st.played | (1 << action), st.passes_left)
+                played |= 1 << action
+                reach |= self.g.closed[action]
+        return line
 
 
 def solve(g: Graph, cfg: GameConfig, time_budget: float | None = None) -> SolveReport:
@@ -168,14 +139,12 @@ def solve(g: Graph, cfg: GameConfig, time_budget: float | None = None) -> SolveR
 
     Raises :class:`BudgetExceeded` when ``time_budget`` (seconds) runs out.
     """
-    start = time.monotonic()
-    deadline = start + time_budget if time_budget is not None else None
-    search = _Search(g, cfg, deadline)
-    value = search.evaluate(GameState(0, cfg.pass_budget))
-    line = search.principal_line()
+    search = _Search(g, cfg, time_budget)
+    value = search.value(0, 0, cfg.pass_budget)
+    line = search.principal_line(0, 0, cfg.pass_budget)
     return SolveReport(value=value, principal_line=line,
                        states_expanded=search.expanded, memo_hits=search.hits,
-                       elapsed=time.monotonic() - start)
+                       elapsed=time.monotonic() - search.start)
 
 
 def game_value(g: Graph, variant: Variant = Variant.DOMINATOR_START,
@@ -184,18 +153,15 @@ def game_value(g: Graph, variant: Variant = Variant.DOMINATOR_START,
     """Value-only convenience wrapper around :func:`solve`."""
     cfg = GameConfig(variant=variant, pass_budget=pass_budget,
                      predominated=predominated)
-    start = time.monotonic()
-    deadline = start + time_budget if time_budget is not None else None
-    return _Search(g, cfg, deadline).evaluate(GameState(0, pass_budget))
+    return _Search(g, cfg, time_budget).value(0, 0, pass_budget)
 
 
 def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     """A minimax-optimal action for the mover at ``st``; ties broken by
     smallest vertex index with pass considered last.  The game must be
-    ongoing."""
-    if status(g, cfg, st) is not Status.ONGOING:
-        raise ValueError("no legal action: the game is over")
-    return _Search(g, cfg).best_action(st)
+    ongoing: a won or stuck position raises ``ValueError``."""
+    reach = closed_neighborhood_set(g, st.played)
+    return _Search(g, cfg).best_action(st.played, reach, st.passes_left)
 
 
 def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None) -> GameValue:

@@ -192,9 +192,21 @@ def test_run_suite_selection_and_unknown():
 def test_exhausted_budget_is_reported_distinctly():
     claims = run_suite(["skip"], corpus=[], time_budget=1e-9)
     budgeted = [c for c in claims if c.verdict == BUDGET]
-    assert {c.claim for c in budgeted} == {"hat/d", "skip/hat"}
+    assert {c.claim for c in budgeted} == {"skip/path", "fan/d", "skip/fan",
+                                           "hat/d", "skip/hat"}
     assert all(c.observed == "budget exceeded" for c in budgeted)
+    # the corpus claims over an empty corpus solve nothing
+    assert [c.claim for c in claims if c.verdict != BUDGET] == ["skip/d-sandwich",
+                                                                "skip/s-sandwich"]
     assert not any(c.verdict == FAIL for c in claims)
+
+
+@pytest.mark.parametrize("group", list(analysis.GROUPS))
+def test_every_group_honours_time_budget(group):
+    # every claim solves something; the corpus matters only to corpus claims
+    claims = run_suite([group], corpus=[path(4)], time_budget=1e-9)
+    assert claims
+    assert all(c.verdict == BUDGET and c.observed == "budget exceeded" for c in claims)
 
 
 def test_corpus_claims_honour_time_budget():

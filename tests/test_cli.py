@@ -132,6 +132,50 @@ def test_scan_bad_graph6_line(tmp_path):
     assert out.stdout == ""  # checked before any record is written
 
 
+def _non_ascii_corpus(tmp_path):
+    corpus = tmp_path / "latin1.g6"
+    corpus.write_bytes(b"A_\n\xff\n")
+    return corpus
+
+
+def test_scan_non_ascii_line(tmp_path):
+    corpus = _non_ascii_corpus(tmp_path)
+    out = run_cli("scan", "--corpus", str(corpus))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {corpus}:2: ")
+    assert "Traceback" not in out.stderr
+    assert out.stdout == ""
+
+
+def test_verify_non_ascii_line(tmp_path):
+    corpus = _non_ascii_corpus(tmp_path)
+    out = run_cli("verify", "--only", "pass", "--corpus", str(corpus))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {corpus}:2: ")
+
+
+def test_solve_input_non_ascii_or_missing(tmp_path):
+    corpus = _non_ascii_corpus(tmp_path)
+    out = run_cli("solve", "--input", str(corpus))
+    assert out.returncode == 1
+    assert out.stderr.startswith(f"error: {corpus}:2: ")
+    missing = run_cli("solve", "--input", str(tmp_path / "none.g6"))
+    assert missing.returncode == 1
+    assert "not found" in missing.stderr and "Traceback" not in missing.stderr
+
+
+def test_verify_rejects_disconnected_corpus_graph(tmp_path):
+    corpus = tmp_path / "split.g6"
+    corpus.write_text("A_\n\nA?\n")  # K2, then 2K1
+    out = run_cli("verify", "--only", "small-values", "--corpus", str(corpus))
+    assert out.returncode == 1
+    assert out.stderr == f"error: {corpus}:3: graph is disconnected\n"
+    assert out.stdout == ""
+    scan = run_cli("scan", "--corpus", str(corpus))  # scan reports it instead
+    assert scan.returncode == 0
+    assert json.loads(scan.stdout.splitlines()[1])["value"] == "never"
+
+
 def test_scan_jsonl(tmp_path):
     corpus = tmp_path / "two.g6"
     corpus.write_text(emit_graph6(cycle(6)) + "\n"

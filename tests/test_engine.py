@@ -4,9 +4,10 @@ from hypothesis import strategies as st
 
 from cdgame.engine import (GameConfig, GameState, Player, Status,
                            Variant, apply_move, apply_pass, dominated,
-                           initial_state, legal_moves, mover, mover_at, status)
+                           initial_state, legal_moves, mover, mover_at, playable,
+                           status)
 from cdgame.families import complete, cycle, path
-from cdgame.graph import bits, is_connected_induced, mask_of
+from cdgame.graph import Graph, bits, is_connected_induced, mask_of
 
 from .conftest import connected_graphs
 
@@ -39,6 +40,16 @@ def test_config_validation():
     cfg = GameConfig(predominated=1 << 5)
     with pytest.raises(ValueError):
         cfg.validate_for(path(4))
+
+
+def test_playable_adjacency_and_opening_exemption():
+    g = Graph.from_edges(2, [])  # 2K1: any vertex opens, nothing follows
+    assert playable(g, 0, 0, 0) == [0, 1]
+    assert playable(g, 0b01, g.closed[0], g.closed[0]) == []
+    p4 = path(4)
+    reach = p4.closed[1]
+    assert playable(p4, 0b0010, reach, reach) == [2]  # 0 is adjacent but adds nothing
+    assert playable(p4, 0b0010, reach, reach | 0b1000) == []
 
 
 def test_legal_moves_opening():

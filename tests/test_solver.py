@@ -10,7 +10,7 @@ from cdgame.graph import Graph, connected_domination_number
 from cdgame.solver import (NEVER, BudgetExceeded, format_value, game_value,
                            is_never, optimal_move, solve, solve_naive)
 
-from .conftest import connected_graphs
+from .conftest import arbitrary_graphs, connected_graphs
 
 VD = Variant.DOMINATOR_START
 VS = Variant.STALLER_START
@@ -193,6 +193,19 @@ def test_solver_matches_naive_oracle(g, variant_budget, pre_bits):
     slow = solve_naive(g, cfg, stats)
     assert fast.value == slow
     assert fast.states_expanded <= stats["nodes"]
+
+
+@given(arbitrary_graphs(max_n=6), _cfg_strategy, st.integers(0, 63))
+@settings(max_examples=150, deadline=None)
+def test_solver_matches_naive_oracle_on_any_graph(g, variant_budget, pre_bits):
+    # disconnected graphs reach the first-move exemption: after the opening
+    # pick, a vertex of another component is never playable
+    variant, budget = variant_budget
+    cfg = GameConfig(variant, budget, pre_bits & g.full_mask)
+    stats = {}
+    report = solve(g, cfg)
+    assert report.value == solve_naive(g, cfg, stats)
+    assert report.states_expanded <= stats["nodes"]
 
 
 @given(connected_graphs(max_n=6), _cfg_strategy, st.integers(0, 63))

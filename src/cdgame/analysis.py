@@ -27,8 +27,8 @@ from .engine import GameConfig, Variant
 from .graph import (Graph, bits, diameter, has_universal_vertex, is_complete,
                     is_join_some_noncomplete, is_join_two_noncomplete,
                     lexicographic_product, read_graph6_file)
-from .solver import (NEVER, BudgetExceeded, GameValue, game_value, is_never,
-                     solve_naive)
+from .solver import (NEVER, BudgetExceeded, GameValue, game_value, game_values,
+                     is_never, solve_naive)
 
 PASS, FAIL, BUDGET = "pass", "fail", "budget-exceeded"
 
@@ -240,11 +240,11 @@ def predomination_scan(g: Graph, instance: str = "",
     least one vertex strictly increases it; such graphs answer an open
     question, so they are reported, never asserted to (not) exist.  Stuck
     outcomes are listed separately and excluded from the shift extremes;
-    when the base game itself is stuck, no vertex has a shift.
+    when the base game itself is stuck, no vertex has a shift.  The n+1
+    solves share one search and memo; ``time_budget`` applies to each.
     """
-    base = game_value(g, time_budget=time_budget)
-    per_vertex = [game_value(g, predominated=1 << v, time_budget=time_budget)
-                  for v in range(g.n)]
+    base, *per_vertex = game_values(g, [0] + [1 << v for v in range(g.n)],
+                                    time_budget=time_budget)
     nevers = [v for v, val in enumerate(per_vertex) if is_never(val)]
     shifts = [] if is_never(base) else [int(val - base) for val in per_vertex
                                         if not is_never(val)]

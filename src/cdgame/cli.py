@@ -111,7 +111,9 @@ def cmd_solve(args) -> int:
         return 3
     print(f"value = {format_value(report.value)}")
     print(f"line: {_format_line(g, report.principal_line)}")
+    rate = report.states_expanded / report.elapsed if report.elapsed > 0 else 0.0
     print(f"states expanded = {report.states_expanded}, memo hits = {report.memo_hits}, "
+          f"memo entries = {report.memo_entries}, states/s = {rate:.0f}, "
           f"elapsed = {report.elapsed:.3f} s")
     return 2 if is_never(report.value) else 0
 
@@ -161,10 +163,26 @@ def _scan_one(job):
     return record
 
 
+def _scan_threads(args) -> int:
+    """Worker processes: ``--threads``, else ``CDGAME_THREADS``, else 1."""
+    if args.threads < 0:
+        raise CliError(f"--threads must be nonnegative, got {args.threads}")
+    if args.threads:
+        return args.threads
+    raw = os.environ.get("CDGAME_THREADS") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = -1
+    if threads < 0:
+        raise CliError(f"CDGAME_THREADS must be a nonnegative integer, got {raw!r}")
+    return threads
+
+
 def cmd_scan(args) -> int:
+    threads = _scan_threads(args)
     entries = _read_corpus(args.corpus)  # a bad line stops the scan before any record
     jobs = [(i, line, args.time_budget) for i, (_, line, _) in enumerate(entries, start=1)]
-    threads = args.threads or int(os.environ.get("CDGAME_THREADS", "1"))
     records = []
     with ExitStack() as stack:
         out = (stack.enter_context(open(args.output, "w", encoding="ascii"))

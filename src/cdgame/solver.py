@@ -5,11 +5,24 @@ value :data:`NEVER`, encoded as ``math.inf`` so it orders above every
 finite count and one comparison drives both players' choices.
 
 The search walks one position ``(played, reach, passes_left)``, where
-``reach`` is N[played]: the dominated set is ``reach`` plus the
+``reach`` is N[played]: the dominated set ``dom`` is ``reach`` plus the
 predominated set, the moves are :func:`engine.playable` of it, and the
-mover follows from the turn index ``|played| + passes consumed``.  The
-memo is keyed on ``(played, passes_left)`` alone, since ``reach`` follows
-from ``played``.
+mover follows from the turn index ``t = |played| + passes consumed + 1``.
+The memo is a transposition table: it stores the number of vertex moves
+still to come, keyed on what decides them,
+
+- ``dom``;
+- the live frontier, the mask of the playable vertices: a dead frontier
+  vertex never becomes live again, since ``dom`` only grows;
+- the turn class ``t if t <= 2 else 3 + t % 2``, which fixes the mover
+  from here on in all four variants;
+- ``passes_left``.
+
+An opening position's playable set holds an undominated vertex and a
+started position's never does, so the key needs no started flag.  A
+position's value is ``|played|`` plus its remaining moves.  The
+predominated set enters only through ``dom``, so :func:`game_values`
+serves several predominated sets from one search and one memo.
 
 ``solve`` is the production path; ``solve_naive`` is a deliberately
 plain recursion with no memo and no shared move-generation code, used to
@@ -21,6 +34,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .engine import (PASS, GameConfig, GameState, Player, Variant,
                      mover_at, mover_for, playable)
@@ -49,29 +63,51 @@ class SolveReport:
     principal_line: list[tuple[Player, int | str]] = field(default_factory=list)
     states_expanded: int = 0
     memo_hits: int = 0
+    memo_entries: int = 0
     elapsed: float = 0.0
 
 
 class _Search:
-    """One memoized minimax search over a fixed graph and config; the time
-    budget, if any, runs from construction."""
+    """One memoized minimax search over a fixed graph, variant and pass
+    budget.  ``cfg``'s predominated set is the one :meth:`value` and the
+    move choices start from, but the memo holds for every predominated
+    set, since :meth:`remaining` takes it inside ``dom``.  The time
+    budget, if any, runs from construction or :meth:`restart`."""
 
     def __init__(self, g: Graph, cfg: GameConfig, time_budget: float | None = None):
         cfg.validate_for(g)
         self.g = g
         self.cfg = cfg
-        self.start = time.monotonic()
-        self.deadline = self.start + time_budget if time_budget is not None else None
-        self.memo: dict[tuple[int, int], GameValue] = {}
+        self.memo: dict[tuple[int, int, int, int], GameValue] = {}
         self.expanded = 0
         self.hits = 0
+        self.restart(time_budget)
+
+    def restart(self, time_budget: float | None) -> None:
+        """Start the clock; the deadline is checked every 4096 expanded states."""
+        self.start = time.monotonic()
+        self.deadline = self.start + time_budget if time_budget is not None else None
 
     def value(self, played: int, reach: int, passes_left: int) -> GameValue:
-        g = self.g
+        """Total vertex moves of the game from this position under optimal play."""
         dom = reach | self.cfg.predominated
+        return played.bit_count() + self.remaining(played, reach, dom, passes_left)
+
+    def remaining(self, played: int, reach: int, dom: int, passes_left: int) -> GameValue:
+        """Vertex moves still to come under optimal play; ``dom`` is
+        ``reach`` plus the predominated set."""
+        g = self.g
         if dom == g.full_mask:
-            return played.bit_count()
-        key = (played, passes_left)
+            return 0
+        moves = playable(g, played, reach, dom)
+        if not moves:
+            return NEVER
+        live = 0
+        for v in moves:
+            live |= 1 << v
+        # engine.mover_for, inline: this runs once per state
+        turn = played.bit_count() + (self.cfg.pass_budget - passes_left) + 1
+        key = (dom, live, turn if turn <= 2 else 3 + turn % 2, passes_left)
         memo = self.memo
         cached = memo.get(key)
         if cached is not None:
@@ -81,24 +117,19 @@ class _Search:
         if self.deadline is not None and self.expanded % 4096 == 1:
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded
-        moves = playable(g, played, reach, dom)
-        if not moves:
-            memo[key] = NEVER
-            return NEVER
-        # engine.mover_for, inline: this runs once per state
-        turn = played.bit_count() + (self.cfg.pass_budget - passes_left) + 1
         dominator = mover_at(self.cfg.variant, turn) is Player.DOMINATOR
         best = NEVER if dominator else -1.0
         closed = g.closed
         for v in moves:
-            child = self.value(played | (1 << v), reach | closed[v], passes_left)
+            child = 1 + self.remaining(played | (1 << v), reach | closed[v],
+                                       dom | closed[v], passes_left)
             if dominator:
                 if child < best:
                     best = child
             elif child > best:
                 best = child
         if not dominator and passes_left > 0:
-            child = self.value(played, reach, passes_left - 1)
+            child = self.remaining(played, reach, dom, passes_left - 1)
             if child > best:
                 best = child
         memo[key] = best
@@ -144,16 +175,29 @@ def solve(g: Graph, cfg: GameConfig, time_budget: float | None = None) -> SolveR
     line = search.principal_line(0, 0, cfg.pass_budget)
     return SolveReport(value=value, principal_line=line,
                        states_expanded=search.expanded, memo_hits=search.hits,
+                       memo_entries=len(search.memo),
                        elapsed=time.monotonic() - search.start)
 
 
 def game_value(g: Graph, variant: Variant = Variant.DOMINATOR_START,
                pass_budget: int = 0, predominated: int = 0,
                time_budget: float | None = None) -> GameValue:
-    """Value-only convenience wrapper around :func:`solve`."""
-    cfg = GameConfig(variant=variant, pass_budget=pass_budget,
-                     predominated=predominated)
-    return _Search(g, cfg, time_budget).value(0, 0, pass_budget)
+    """The value alone, without :func:`solve`'s principal line."""
+    return game_values(g, [predominated], variant, pass_budget, time_budget)[0]
+
+
+def game_values(g: Graph, predominated_sets: Iterable[int],
+                variant: Variant = Variant.DOMINATOR_START, pass_budget: int = 0,
+                time_budget: float | None = None) -> list[GameValue]:
+    """The game's value with each predominated set in turn, from one search
+    whose memo they all share; ``time_budget`` applies to each solve."""
+    search = _Search(g, GameConfig(variant=variant, pass_budget=pass_budget))
+    values = []
+    for pre in predominated_sets:
+        GameConfig(variant, pass_budget, pre).validate_for(g)
+        search.restart(time_budget)
+        values.append(search.remaining(0, 0, pre, pass_budget))
+    return values
 
 
 def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from cdgame import analysis
 from cdgame.analysis import (BUDGET, FAIL, PASS, check_gadget_family,
@@ -11,7 +12,9 @@ from cdgame.engine import GameConfig, Variant
 from cdgame.families import (complete, cycle, fan_chain, hat_chain, path,
                              predomination_penalty_graph, random_tree, star)
 from cdgame.graph import bits, connected_domination_number, mask_of, parse_graph6
-from cdgame.solver import game_value, solve
+from cdgame.solver import BudgetExceeded, game_value, solve, solve_naive
+
+from .conftest import arbitrary_graphs
 
 
 def _all_pass(claims):
@@ -156,6 +159,22 @@ def test_predomination_scan_stuck_base_game():
     assert record["value"] == "never" and record["per_vertex"] == [1, 1]
     assert record["max_increase"] is None and record["max_decrease"] is None
     assert not record["all_vertices_shift"] and not record["candidate"]
+
+
+@given(arbitrary_graphs(max_n=6))
+@settings(max_examples=120, deadline=None)
+def test_predomination_scan_matches_naive_oracle(g):
+    # the base game and all n predominations share one search and memo, so
+    # a memo key that leaks between them gives a wrong value here
+    scan = predomination_scan(g)
+    assert scan.value == solve_naive(g, GameConfig())
+    assert scan.per_vertex == [solve_naive(g, GameConfig(predominated=1 << v))
+                               for v in range(g.n)]
+
+
+def test_predomination_scan_honours_time_budget():
+    with pytest.raises(BudgetExceeded):
+        predomination_scan(path(12), time_budget=1e-9)
 
 
 def test_predomination_scan_reports_never_distinctly():

@@ -23,6 +23,15 @@ def test_solve_family():
     assert "D:u3" in out.stdout
 
 
+def test_solve_reports_search_stats():
+    out = run_cli("solve", "--family", "cart:path:4,path:5")
+    assert out.returncode == 0
+    stats = out.stdout.splitlines()[2]
+    assert stats.startswith("states expanded = 2226, memo hits = 10038, "
+                            "memo entries = 2226, states/s = ")
+    assert stats.endswith(" s")
+
+
 def test_solve_predominated_by_label():
     out = run_cli("solve", "--family", "fig3", "--variant", "d",
                   "--predominate", "c")
@@ -197,6 +206,23 @@ def test_scan_threads_match_sequential(tmp_path, corpus):
     par = run_cli("scan", "--corpus", str(path_), "--threads", "2")
     assert seq.returncode == par.returncode == 0
     assert seq.stdout == par.stdout
+
+
+def test_scan_rejects_bad_thread_counts(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("A_\n")
+    target = tmp_path / "scan.jsonl"
+    argv = ["scan", "--corpus", str(corpus), "--output", str(target)]
+    for raw in ("abc", "-2", "1.5"):
+        monkeypatch.setenv("CDGAME_THREADS", raw)
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: CDGAME_THREADS must be a nonnegative integer, got {raw!r}\n")
+    assert cli.main(argv + ["--threads", "-1"]) == 1  # checked before the variable
+    assert capsys.readouterr().err == "error: --threads must be nonnegative, got -1\n"
+    assert not target.exists()  # rejected before any output is opened
+    monkeypatch.setenv("CDGAME_THREADS", "1")
+    assert cli.main(argv) == 0
 
 
 def test_scan_streams_finished_records(tmp_path, monkeypatch):

@@ -8,7 +8,7 @@ from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
                              graph_from_spec, path, predomination_penalty_graph)
 from cdgame.graph import Graph, connected_domination_number
 from cdgame.solver import (NEVER, BudgetExceeded, format_value, game_value,
-                           is_never, optimal_move, solve, solve_naive)
+                           game_values, is_never, optimal_move, solve, solve_naive)
 
 from .conftest import arbitrary_graphs, connected_graphs
 
@@ -141,16 +141,18 @@ def test_deterministic_reports():
 
 
 # value, states expanded, memo hits and principal line of `cdgame solve` on
-# five instances; a change to the search must reproduce all four exactly
+# six instances; a change to the search must reproduce all four exactly
 _SOLVE_GATE = [
-    ("cart:path:4,path:5", VD, 0, None, 11, 43764, 65076,
+    ("cart:path:4,path:5", VD, 0, None, 11, 2226, 10038,
      "D:6 S:1 D:7 S:2 D:11 S:3 D:8 S:9 D:16 S:13 D:14"),
-    ("fan:3,8", VS, 1, None, 7, 6494, 4897,
+    ("fan:3,8", VS, 1, None, 7, 449, 1058,
      "S:r1 D:h1 S:r7 D:h2 S:pass D:r13 S:r14 D:h3"),
-    ("cl:6", Variant.STALLER_SKIPS_FIRST, 0, None, 7, 439, 488,
+    ("cl:6", Variant.STALLER_SKIPS_FIRST, 0, None, 7, 229, 554,
      "D:(1,1) D:(1,2) S:(2,1) D:(2,2) S:(3,1) D:(4,1) S:(4,2)"),
-    ("fig3", VD, 0, "c", 8, 62, 48, "D:b S:a D:c S:d D:e S:e' D:f S:g"),
-    ("gn:3", VD, 2, None, 3, 243, 118, "D:u3 S:u2 D:u1"),
+    ("fig3", VD, 0, "c", 8, 51, 47, "D:b S:a D:c S:d D:e S:e' D:f S:g"),
+    ("gn:3", VD, 2, None, 3, 82, 102, "D:u3 S:u2 D:u1"),
+    ("cart:path:5,path:5", VD, 0, None, 14, 12387, 79004,
+     "D:6 S:1 D:11 S:10 D:12 S:2 D:3 S:4 D:17 S:9 D:15 S:14 D:22 S:19"),
 ]
 
 
@@ -206,6 +208,17 @@ def test_solver_matches_naive_oracle_on_any_graph(g, variant_budget, pre_bits):
     report = solve(g, cfg)
     assert report.value == solve_naive(g, cfg, stats)
     assert report.states_expanded <= stats["nodes"]
+
+
+@given(arbitrary_graphs(max_n=6), _cfg_strategy,
+       st.lists(st.integers(0, 63), min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_shared_search_matches_naive_oracle(g, variant_budget, pre_list):
+    # game_values solves every predominated set from one search and memo
+    variant, budget = variant_budget
+    pres = [bits & g.full_mask for bits in pre_list]
+    assert game_values(g, pres, variant, budget) == [
+        solve_naive(g, GameConfig(variant, budget, pre)) for pre in pres]
 
 
 @given(connected_graphs(max_n=6), _cfg_strategy, st.integers(0, 63))

@@ -95,6 +95,14 @@ def _config(g: Graph, args) -> GameConfig:
     return cfg
 
 
+def _time_budget(args) -> float:
+    # NaN compares False with every clock reading, so it would never expire
+    budget = args.time_budget
+    if not budget > 0:
+        raise CliError(f"--time-budget must be a positive number of seconds, got {budget:g}")
+    return budget
+
+
 def _format_line(g: Graph, line) -> str:
     return " ".join(
         f"{who.value}:{action if action == PASS else g.label(action)}"
@@ -102,12 +110,13 @@ def _format_line(g: Graph, line) -> str:
 
 
 def cmd_solve(args) -> int:
+    budget = _time_budget(args)
     g = _load_graph(args)
     cfg = _config(g, args)
     try:
-        report = solve(g, cfg, time_budget=args.time_budget)
+        report = solve(g, cfg, time_budget=budget)
     except BudgetExceeded:
-        print(f"budget exceeded ({args.time_budget:.0f} s)")
+        print(f"budget exceeded ({budget:g} s)")
         return 3
     print(f"value = {format_value(report.value)}")
     print(f"line: {_format_line(g, report.principal_line)}")
@@ -119,6 +128,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    budget = _time_budget(args)
     corpus = None
     names = args.only or None
     try:
@@ -128,7 +138,7 @@ def cmd_verify(args) -> int:
                 if not is_connected(g):  # the game is defined on connected graphs
                     raise CliError(f"{args.corpus}:{lineno}: graph is disconnected")
                 corpus.append(g)
-        results = analysis.run_suite(names, corpus=corpus, time_budget=args.time_budget)
+        results = analysis.run_suite(names, corpus=corpus, time_budget=budget)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     failures = 0
@@ -181,8 +191,9 @@ def _scan_threads(args) -> int:
 
 def cmd_scan(args) -> int:
     threads = _scan_threads(args)
+    budget = _time_budget(args)
     entries = _read_corpus(args.corpus)  # a bad line stops the scan before any record
-    jobs = [(i, line, args.time_budget) for i, (_, line, _) in enumerate(entries, start=1)]
+    jobs = [(i, line, budget) for i, (_, line, _) in enumerate(entries, start=1)]
     records = []
     with ExitStack() as stack:
         out = (stack.enter_context(open(args.output, "w", encoding="ascii"))
@@ -215,7 +226,10 @@ def _read_action(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     while True:
         prompt = "your move (vertex"
         prompt += " or 'pass'): " if may_pass else "): "
-        raw = input(prompt).strip()
+        try:
+            raw = input(prompt).strip()
+        except EOFError:
+            raise CliError("input ended before the game finished") from None
         if raw == PASS:
             if may_pass:
                 return PASS

@@ -1,4 +1,4 @@
-"""Rules of the connected domination game: legal moves and transitions.
+"""Rules of the connected domination game: legal-move masks and transitions.
 
 Two players, Dominator (minimizing the total number of vertex moves) and
 Staller (maximizing it), alternately pick vertices.  Every pick must
@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graph import Graph, closed_neighborhood_set, mask_of
+from .graph import Graph, closed_neighborhood_set
 
 PASS = "pass"
 
@@ -106,31 +106,30 @@ def dominated(g: Graph, cfg: GameConfig, st: GameState) -> int:
     return closed_neighborhood_set(g, st.played) | cfg.predominated
 
 
-def playable(g: Graph, played: int, reach: int, dom: int) -> list[int]:
+def playable(g: Graph, reach: int, dom: int) -> int:
     """The legality rule, the one copy the engine and the solver share.
 
-    The vertices, in index order, that may be picked next.  A pick lies in
-    ``reach & ~played``, where ``reach`` is N[played], so it is adjacent to
-    a played vertex; only the opening pick may be any vertex.  Its closed
-    neighborhood must meet something outside ``dom``, the dominated set.
+    The mask ``(reach if reach else full) & N[V - dom]`` of the legal
+    picks, where ``reach`` is N[played] and ``dom`` the dominated set.
+    N[V - dom], the OR of ``closed[w]`` over undominated w, holds the picks
+    that dominate something new.  ``reach`` is empty only at the opening,
+    which may pick any vertex.  No played p is in N[V - dom], because
+    ``closed[p] <= reach <= dom``, so the rule needs no ``played``.
     """
-    undom = ~dom
     closed = g.closed
-    m = reach & ~played if played else g.full_mask
-    moves = []
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        if closed[v] & undom:
-            moves.append(v)
-    return moves
+    undom = g.full_mask & ~dom
+    useful = 0
+    while undom:
+        low = undom & -undom
+        undom ^= low
+        useful |= closed[low.bit_length() - 1]
+    return (reach if reach else g.full_mask) & useful
 
 
 def legal_moves(g: Graph, cfg: GameConfig, st: GameState) -> int:
     """Mask of the :func:`playable` vertices at ``st``."""
     reach = closed_neighborhood_set(g, st.played)
-    return mask_of(playable(g, st.played, reach, reach | cfg.predominated))
+    return playable(g, reach, reach | cfg.predominated)
 
 
 class Status(enum.Enum):

@@ -2,18 +2,17 @@
 
 A vertex set is a plain Python int used as a bitmask (bit v set means
 vertex v is in the set), so set algebra is machine-word arithmetic and a
-solver state key is a pair of ints.  A ``Graph`` is immutable: vertex
+solver memo key is a tuple of ints.  A ``Graph`` is immutable: vertex
 count ``n``, per-vertex adjacency masks, and optional display labels.
 
 Also provides the classical invariants the game analysis needs
-(connectivity, diameter, domination numbers), the graph constructions
+(connectivity, diameter, join splits), the graph constructions
 used to build test instances (complement, join, Cartesian and
 lexicographic products), and graph6 text I/O for corpus files.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -25,14 +24,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    """Bitmask with the given vertex indices set."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 class Graph:
@@ -131,13 +122,6 @@ class Graph:
 
 # ---------------------------------------------------------------------------
 # neighborhoods and basic invariants
-
-def closed_neighborhood(g: Graph, v: int) -> int:
-    """N[v] as a mask."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex {v} out of range 0..{g.n - 1}")
-    return g.closed[v]
-
 
 def closed_neighborhood_set(g: Graph, s: int) -> int:
     """N[S] = union of N[v] over v in S; N[empty] is empty."""
@@ -249,45 +233,6 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
                     for b2 in range(h.n):
                         edges.append((base + b, base2 + b2))
     return Graph.from_edges(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# domination numbers (exact, by size-increasing subset search)
-
-def _is_dominating(g: Graph, s: int) -> bool:
-    return closed_neighborhood_set(g, s) == g.full_mask
-
-
-def minimum_dominating_set(g: Graph) -> int:
-    """Lexicographically first dominating set of minimum size, as a mask."""
-    for size in range(1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            s = mask_of(combo)
-            if _is_dominating(g, s):
-                return s
-    raise AssertionError("unreachable: V(G) dominates G")
-
-
-def minimum_connected_dominating_set(g: Graph) -> int:
-    """Smallest connected dominating set (first in order); g must be connected."""
-    if not is_connected(g):
-        raise ValueError("connected domination requires a connected graph")
-    for size in range(1, g.n + 1):
-        for combo in combinations(range(g.n), size):
-            s = mask_of(combo)
-            if _is_dominating(g, s) and is_connected_induced(g, s):
-                return s
-    raise AssertionError("unreachable: V(G) is a connected dominating set")
-
-
-def domination_number(g: Graph) -> int:
-    """Smallest size of a dominating set."""
-    return minimum_dominating_set(g).bit_count()
-
-
-def connected_domination_number(g: Graph) -> int:
-    """Smallest size of a connected dominating set; requires g connected."""
-    return minimum_connected_dominating_set(g).bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ finite count and one comparison drives both players' choices.
 
 The search walks one position ``(played, reach, passes_left)``, where
 ``reach`` is N[played]: the dominated set ``dom`` is ``reach`` plus the
-predominated set, the moves are :func:`engine.playable` of it, and the
-mover follows from the turn index ``t = |played| + passes consumed + 1``.
-The memo is a transposition table: it stores the number of vertex moves
-still to come, keyed on what decides them,
+predominated set, the moves are the bits of the mask
+:func:`engine.playable` makes of the two, and the mover follows from the
+turn index ``t = |played| + passes consumed + 1``.  The memo is a
+transposition table: it stores the number of vertex moves still to come,
+keyed on what decides them,
 
 - ``dom``;
-- the live frontier, the mask of the playable vertices: a dead frontier
+- the live frontier, that is the move mask itself: a dead frontier
   vertex never becomes live again, since ``dom`` only grows;
 - the turn class ``t if t <= 2 else 3 + t % 2``, which fixes the mover
   from here on in all four variants;
@@ -38,7 +39,7 @@ from typing import Iterable
 
 from .engine import (PASS, GameConfig, GameState, Player, Variant,
                      mover_at, mover_for, playable)
-from .graph import Graph, closed_neighborhood_set
+from .graph import Graph, bits, closed_neighborhood_set
 
 NEVER = math.inf
 
@@ -69,10 +70,10 @@ class SolveReport:
 
 class _Search:
     """One memoized minimax search over a fixed graph, variant and pass
-    budget.  ``cfg``'s predominated set is the one :meth:`value` and the
-    move choices start from, but the memo holds for every predominated
-    set, since :meth:`remaining` takes it inside ``dom``.  The time
-    budget, if any, runs from construction or :meth:`restart`."""
+    budget.  The move choices start from ``cfg``'s predominated set, but
+    the memo holds for every predominated set, since :meth:`remaining`
+    takes it inside ``dom``.  The time budget, if any, runs from
+    construction or :meth:`restart`."""
 
     def __init__(self, g: Graph, cfg: GameConfig, time_budget: float | None = None):
         cfg.validate_for(g)
@@ -88,23 +89,15 @@ class _Search:
         self.start = time.monotonic()
         self.deadline = self.start + time_budget if time_budget is not None else None
 
-    def value(self, played: int, reach: int, passes_left: int) -> GameValue:
-        """Total vertex moves of the game from this position under optimal play."""
-        dom = reach | self.cfg.predominated
-        return played.bit_count() + self.remaining(played, reach, dom, passes_left)
-
     def remaining(self, played: int, reach: int, dom: int, passes_left: int) -> GameValue:
         """Vertex moves still to come under optimal play; ``dom`` is
         ``reach`` plus the predominated set."""
         g = self.g
         if dom == g.full_mask:
             return 0
-        moves = playable(g, played, reach, dom)
-        if not moves:
+        live = playable(g, reach, dom)
+        if not live:
             return NEVER
-        live = 0
-        for v in moves:
-            live |= 1 << v
         # engine.mover_for, inline: this runs once per state
         turn = played.bit_count() + (self.cfg.pass_budget - passes_left) + 1
         key = (dom, live, turn if turn <= 2 else 3 + turn % 2, passes_left)
@@ -120,9 +113,12 @@ class _Search:
         dominator = mover_at(self.cfg.variant, turn) is Player.DOMINATOR
         best = NEVER if dominator else -1.0
         closed = g.closed
-        for v in moves:
-            child = 1 + self.remaining(played | (1 << v), reach | closed[v],
-                                       dom | closed[v], passes_left)
+        moves = live
+        while moves:
+            low = moves & -moves
+            moves ^= low
+            near = closed[low.bit_length() - 1]
+            child = 1 + self.remaining(played | low, reach | near, dom | near, passes_left)
             if dominator:
                 if child < best:
                     best = child
@@ -138,15 +134,18 @@ class _Search:
     def best_action(self, played: int, reach: int, passes_left: int) -> int | str:
         """Value-achieving action: lowest playable vertex first, pass only
         if no vertex attains the value."""
-        moves = playable(self.g, played, reach, reach | self.cfg.predominated)
+        dom = reach | self.cfg.predominated
+        moves = playable(self.g, reach, dom)
         if not moves:
             raise ValueError("no legal action: the game is over")
-        target = self.value(played, reach, passes_left)
-        for v in moves:
-            if self.value(played | (1 << v), reach | self.g.closed[v], passes_left) == target:
+        target = self.remaining(played, reach, dom, passes_left)
+        closed = self.g.closed
+        for v in bits(moves):
+            if 1 + self.remaining(played | (1 << v), reach | closed[v], dom | closed[v],
+                                  passes_left) == target:
                 return v
         if (mover_for(self.cfg, played, passes_left) is Player.STALLER and passes_left > 0
-                and self.value(played, reach, passes_left - 1) == target):
+                and self.remaining(played, reach, dom, passes_left - 1) == target):
             return PASS
         raise ValueError("no legal action from this state")
 
@@ -154,7 +153,7 @@ class _Search:
                        passes_left: int) -> list[tuple[Player, int | str]]:
         """Optimal play from the position until the game is won or stuck."""
         line = []
-        while playable(self.g, played, reach, reach | self.cfg.predominated):
+        while playable(self.g, reach, reach | self.cfg.predominated):
             action = self.best_action(played, reach, passes_left)
             line.append((mover_for(self.cfg, played, passes_left), action))
             if action == PASS:
@@ -171,7 +170,7 @@ def solve(g: Graph, cfg: GameConfig, time_budget: float | None = None) -> SolveR
     Raises :class:`BudgetExceeded` when ``time_budget`` (seconds) runs out.
     """
     search = _Search(g, cfg, time_budget)
-    value = search.value(0, 0, cfg.pass_budget)
+    value = search.remaining(0, 0, cfg.predominated, cfg.pass_budget)
     line = search.principal_line(0, 0, cfg.pass_budget)
     return SolveReport(value=value, principal_line=line,
                        states_expanded=search.expanded, memo_hits=search.hits,

@@ -11,10 +11,11 @@ from cdgame.analysis import (BUDGET, FAIL, PASS, check_gadget_family,
 from cdgame.engine import GameConfig, Variant
 from cdgame.families import (complete, cycle, fan_chain, hat_chain, path,
                              predomination_penalty_graph, random_tree, star)
-from cdgame.graph import bits, connected_domination_number, mask_of, parse_graph6
+from cdgame.graph import bits, parse_graph6
 from cdgame.solver import BudgetExceeded, game_value, solve, solve_naive
 
 from .conftest import arbitrary_graphs
+from .domination import connected_domination_number, mask_of
 
 
 def _all_pass(claims):

@@ -291,3 +291,33 @@ def test_play_illegal_move_reprompted():
     assert out.returncode == 0
     assert "not a legal move" in out.stdout
     assert "game over in 2 moves" in out.stdout
+
+
+def test_play_input_ends_early():
+    # stdin at EOF, at once or after a rejected line, is bad input, not a traceback
+    for stdin in ("", "zz\n"):
+        out = run_cli("play", "--family", "path:4", "--human", "s", stdin=stdin)
+        assert out.returncode == 1
+        assert out.stderr == "error: input ended before the game finished\n"
+        assert "engine (D) plays 1" in out.stdout
+
+
+def test_time_budget_must_be_positive(tmp_path, capsys):
+    # a NaN budget never expires, since every comparison with it is false
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("A_\n")
+    commands = (["solve", "--family", "path:4"], ["verify", "--only", "pass"],
+                ["scan", "--corpus", str(corpus)])
+    for argv in commands:
+        for budget, shown in (("nan", "nan"), ("0", "0"), ("-1.5", "-1.5")):
+            assert cli.main([*argv, "--time-budget", budget]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: --time-budget must be a positive number "
+                                    f"of seconds, got {shown}\n")
+
+
+def test_solve_budget_exceeded_shows_the_budget():
+    out = run_cli("solve", "--family", "cart:path:5,path:5", "--time-budget", "0.001")
+    assert out.returncode == 3
+    assert out.stdout == "budget exceeded (0.001 s)\n"

@@ -7,9 +7,10 @@ from cdgame.engine import (GameConfig, GameState, Player, Status,
                            initial_state, legal_moves, mover, mover_at, playable,
                            status)
 from cdgame.families import complete, cycle, path
-from cdgame.graph import Graph, bits, is_connected_induced, mask_of
+from cdgame.graph import Graph, bits, closed_neighborhood_set, is_connected_induced
 
-from .conftest import connected_graphs
+from .conftest import arbitrary_graphs, connected_graphs
+from .domination import mask_of
 
 D, S = Player.DOMINATOR, Player.STALLER
 
@@ -44,12 +45,26 @@ def test_config_validation():
 
 def test_playable_adjacency_and_opening_exemption():
     g = Graph.from_edges(2, [])  # 2K1: any vertex opens, nothing follows
-    assert playable(g, 0, 0, 0) == [0, 1]
-    assert playable(g, 0b01, g.closed[0], g.closed[0]) == []
+    assert playable(g, 0, 0) == 0b11
+    assert playable(g, g.closed[0], g.closed[0]) == 0
     p4 = path(4)
-    reach = p4.closed[1]
-    assert playable(p4, 0b0010, reach, reach) == [2]  # 0 is adjacent but adds nothing
-    assert playable(p4, 0b0010, reach, reach | 0b1000) == []
+    reach = p4.closed[1]  # vertex 1 played
+    assert playable(p4, reach, reach) == 0b0100  # 0 is adjacent but adds nothing
+    assert playable(p4, reach, reach | 0b1000) == 0
+
+
+@given(arbitrary_graphs(), st.integers(0, 127), st.integers(0, 127))
+@settings(max_examples=200)
+def test_playable_matches_definition(g, played_bits, pre_bits):
+    # any played set, connected or not, and any predominated set
+    played = played_bits & g.full_mask
+    reach = closed_neighborhood_set(g, played)
+    dom = reach | (pre_bits & g.full_mask)
+    expected = mask_of(v for v in range(g.n)
+                       if not played >> v & 1
+                       and (played == 0 or g.adj[v] & played)
+                       and g.closed[v] & ~dom)
+    assert playable(g, reach, dom) == expected
 
 
 def test_legal_moves_opening():

@@ -2,17 +2,16 @@ import pytest
 from hypothesis import given, settings
 
 from cdgame.families import complete, cycle, fan_chain, path, star
-from cdgame.graph import (Graph, bits, cartesian_product, closed_neighborhood,
-                          closed_neighborhood_set, complement,
-                          connected_domination_number, diameter,
-                          domination_number, has_universal_vertex, is_complete,
-                          is_connected, is_connected_induced,
-                          is_join_some_noncomplete, is_join_two_noncomplete,
-                          join, lexicographic_product, mask_of, max_degree,
-                          minimum_connected_dominating_set,
-                          minimum_dominating_set)
+from cdgame.graph import (Graph, bits, cartesian_product,
+                          closed_neighborhood_set, complement, diameter,
+                          has_universal_vertex, is_complete, is_connected,
+                          is_connected_induced, is_join_some_noncomplete,
+                          is_join_two_noncomplete, join, lexicographic_product,
+                          max_degree)
 
 from .conftest import arbitrary_graphs, connected_graphs
+from .domination import (connected_domination_number, domination_number, mask_of,
+                         minimum_connected_dominating_set, minimum_dominating_set)
 
 
 def test_construction_rejects_bad_graphs():
@@ -31,12 +30,10 @@ def test_construction_rejects_bad_graphs():
 
 
 def test_closed_neighborhood():
-    assert closed_neighborhood(path(3), 1) == 0b111
+    assert path(3).closed[1] == 0b111
     k5 = complete(5)
     for v in range(5):
-        assert closed_neighborhood(k5, v) == k5.full_mask
-    with pytest.raises(IndexError):
-        closed_neighborhood(path(3), 3)
+        assert k5.closed[v] == k5.full_mask
 
 
 def test_closed_neighborhood_doubling_gadget():
@@ -44,7 +41,7 @@ def test_closed_neighborhood_doubling_gadget():
     g = doubling_gadget(2)
     u1 = g.vertex_by_label("u1")
     expected = mask_of(g.vertex_by_label(x) for x in ("u0", "u1", "u2", "x1"))
-    assert closed_neighborhood(g, u1) == expected
+    assert g.closed[u1] == expected
 
 
 def test_closed_neighborhood_set():
@@ -139,7 +136,7 @@ def test_full_capacity_graph():
     p64 = path(64)
     assert p64.n == 64 and is_connected(p64)
     assert diameter(p64) == 63
-    assert closed_neighborhood(p64, 63) == (0b11 << 62)
+    assert p64.closed[63] == (0b11 << 62)
     with pytest.raises(ValueError):
         path(65)
 

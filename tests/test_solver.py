@@ -6,11 +6,12 @@ from cdgame.engine import (PASS, GameConfig, GameState, Player, Status,
                            Variant, apply_move, apply_pass, status)
 from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
                              graph_from_spec, path, predomination_penalty_graph)
-from cdgame.graph import Graph, connected_domination_number
+from cdgame.graph import Graph
 from cdgame.solver import (NEVER, BudgetExceeded, format_value, game_value,
                            game_values, is_never, optimal_move, solve, solve_naive)
 
 from .conftest import arbitrary_graphs, connected_graphs
+from .domination import connected_domination_number
 
 VD = Variant.DOMINATOR_START
 VS = Variant.STALLER_START

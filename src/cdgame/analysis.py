@@ -464,21 +464,18 @@ def _group_pass(table, value) -> list[ClaimResult]:
     return _corpus_claims("pass", table)
 
 
-_LEX_LEFT = [("path:2", 2), ("path:3", 3), ("path:4", 4), ("cycle:4", 4),
-             ("cycle:5", 5), ("complete:2", 2), ("complete:3", 3)]
-_LEX_RIGHT = [("complete:1", 1), ("complete:2", 2), ("complete:3", 3),
-              ("path:3", 3), ("path:4", 4), ("cycle:4", 4)]
+_LEX_LEFT = ["path:2", "path:3", "path:4", "cycle:4", "cycle:5", "complete:2", "complete:3"]
+_LEX_RIGHT = ["complete:1", "complete:2", "complete:3", "path:3", "path:4", "cycle:4"]
 
 
 def _group_lexicographic(table, value) -> list[ClaimResult]:
     claims = []
-    for g_name, gn in _LEX_LEFT:
-        for h_name, hn in _LEX_RIGHT:
-            if gn * hn > 20:
-                continue
-            g = families.graph_from_spec(g_name)
-            h = families.graph_from_spec(h_name)
-            claims.extend(check_lexicographic(g, h, g_name, h_name, value))
+    rights = [(h_name, families.graph_from_spec(h_name)) for h_name in _LEX_RIGHT]
+    for g_name in _LEX_LEFT:
+        g = families.graph_from_spec(g_name)
+        for h_name, h in rights:
+            if g.n * h.n <= 20:
+                claims.extend(check_lexicographic(g, h, g_name, h_name, value))
     return claims
 
 

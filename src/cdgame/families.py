@@ -3,33 +3,44 @@ verification suite, each with the labeling the analysis refers to.
 
 Every generator returns an immutable :class:`~cdgame.graph.Graph`; labels
 are attached where the suite addresses vertices by name (gadget spines,
-ladders, the predomination example).  ``graph_from_spec`` parses the CLI
-family syntax, e.g. ``path:7``, ``fan:2,8``, ``lex:cycle:5,complete:2``.
+ladders, the predomination example).  Each generator checks its vertex
+count against the 64-vertex cap before it builds anything (``hamming``
+through ``complete`` and ``cartesian_product``, which check each factor
+and each product first).
+
+``graph_from_spec`` reads the CLI family syntax, e.g. ``path:7``,
+``fan:2,8``, ``lex:cycle:5,complete:2``.  Each tag is one entry of
+``_FAMILIES`` (parameter count and generator) or ``_COMBINATORS`` (a
+binary construction on two nested specs).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+import re
 
-from .graph import Graph, cartesian_product, join, lexicographic_product
+from .graph import (Graph, cartesian_product, check_vertex_count, join,
+                    lexicographic_product)
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs n >= 1")
+    check_vertex_count(n)
     return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs n >= 3")
+    check_vertex_count(n)
     return Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError("complete graph needs n >= 1")
+    check_vertex_count(n)
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -37,6 +48,7 @@ def star(leaves: int) -> Graph:
     """Hub at index 0 with the given number of leaves."""
     if leaves < 1:
         raise ValueError("star needs at least one leaf")
+    check_vertex_count(leaves + 1)
     return Graph.from_edges(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
 
@@ -50,6 +62,7 @@ def doubling_gadget(n: int) -> Graph:
     """
     if n < 2:
         raise ValueError("doubling gadget needs n >= 2")
+    check_vertex_count(4 * n - 2)
     labels = [f"u{i}" for i in range(n + 1)]
     labels += [f"x{i}" for i in range(1, n)]
     labels += [f"y{i}" for i in range(1, n)]
@@ -64,11 +77,13 @@ def doubling_gadget(n: int) -> Graph:
     return Graph.from_edges(4 * n - 2, edges, labels)
 
 
-def _fan_chain_parts(blocks: int, n: int):
+def _fan_chain_parts(blocks: int, n: int, per_block: int):
     # The rims of consecutive fans share an end vertex, so the whole rim
-    # is one path; hub j spans local rim 1..n-1 of its block.
+    # is one path; hub j spans local rim 1..n-1 of its block.  Each block
+    # adds per_block vertices after the rim.
     per = n - 1
     rim_count = per + (per - 1) * (blocks - 1)
+    check_vertex_count(rim_count + per_block * blocks)
     rim_edges = [(m, m + 1) for m in range(rim_count - 1)]
     hub_edges = []
     for j in range(blocks):
@@ -85,7 +100,7 @@ def fan_chain(i: int, n: int = 8) -> Graph:
         raise ValueError("fan chain needs i >= 1")
     if n < 7:
         raise ValueError("fan chain needs fans on n >= 7 vertices")
-    rim_count, edges = _fan_chain_parts(i, n)
+    rim_count, edges = _fan_chain_parts(i, n, 1)
     labels = [f"r{m + 1}" for m in range(rim_count)] + [f"h{j + 1}" for j in range(i)]
     return Graph.from_edges(rim_count + i, edges, labels)
 
@@ -96,7 +111,7 @@ def hat_chain(i: int) -> Graph:
     if i < 0:
         raise ValueError("hat chain needs i >= 0")
     blocks = i + 1
-    rim_count, edges = _fan_chain_parts(blocks, 8)
+    rim_count, edges = _fan_chain_parts(blocks, 8, 2)
     hat0 = rim_count + blocks
     for j in range(blocks):
         lo = j * 6
@@ -111,6 +126,7 @@ def circular_ladder(n: int) -> Graph:
     """C_n box K_2 with vertices labeled (i,j), i in 1..n, j in 1..2."""
     if n < 3:
         raise ValueError("circular ladder needs n >= 3")
+    check_vertex_count(2 * n)
     edges = []
     for a in range(n):
         b = (a + 1) % n
@@ -123,6 +139,7 @@ def mobius_ladder(n: int) -> Graph:
     """C_{2n} plus the n chords between opposite vertices."""
     if n < 3:
         raise ValueError("Mobius ladder needs n >= 3")
+    check_vertex_count(2 * n)
     edges = [(v, (v + 1) % (2 * n)) for v in range(2 * n)]
     edges += [(v, v + n) for v in range(n)]
     return Graph.from_edges(2 * n, edges)
@@ -156,6 +173,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform labeled tree from a seeded Pruefer-sequence draw."""
     if n < 1:
         raise ValueError("tree needs n >= 1")
+    check_vertex_count(n)
     if n == 1:
         return Graph(1, [0])
     if n == 2:
@@ -187,135 +205,60 @@ class FamilySpecError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parsed family tag with integer parameters or nested specs."""
-    tag: str
-    params: tuple = ()
-
-
-_SIMPLE_ARITY = {
-    "path": 1, "cycle": 1, "complete": 1, "star": 1, "gn": 1,
-    "fan": 2, "hat": 1, "cl": 1, "ml": 1, "tree": 2, "fig3": 0,
+# tag -> (parameter count, generator); hamming's count None means one or more
+_FAMILIES = {
+    "path": (1, path), "cycle": (1, cycle), "complete": (1, complete),
+    "star": (1, star), "gn": (1, doubling_gadget), "fan": (2, fan_chain),
+    "hat": (1, hat_chain), "cl": (1, circular_ladder), "ml": (1, mobius_ladder),
+    "hamming": (None, hamming), "tree": (2, random_tree),
+    "fig3": (0, predomination_penalty_graph),
 }
-_COMBINATORS = ("lex", "cart", "join")
-
-
-class _SpecParser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def fail(self, message: str, position: int | None = None):
-        raise FamilySpecError(message, self.pos if position is None else position)
-
-    def read_tag(self) -> str:
-        # parameters always follow a ':' so digits inside tags (fig3) are safe
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalnum():
-            self.pos += 1
-        if self.pos == start:
-            self.fail("expected a family tag", start)
-        return self.text[start:self.pos]
-
-    def read_int(self) -> int:
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            self.fail("expected an integer parameter", start)
-        return int(self.text[start:self.pos])
-
-    def expect(self, ch: str):
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def at_int(self) -> bool:
-        p = self.pos
-        if p < len(self.text) and self.text[p] == "-":
-            p += 1
-        return p < len(self.text) and self.text[p].isdigit()
-
-    def parse_spec(self) -> FamilySpec:
-        start = self.pos
-        tag = self.read_tag()
-        if tag in _COMBINATORS:
-            self.expect(":")
-            left = self.parse_spec()
-            self.expect(",")
-            right = self.parse_spec()
-            return FamilySpec(tag, (left, right))
-        if tag == "hamming":
-            self.expect(":")
-            dims = [self.read_int()]
-            while (self.pos < len(self.text) and self.text[self.pos] == ","
-                   and self._int_follows()):
-                self.pos += 1
-                dims.append(self.read_int())
-            return FamilySpec(tag, tuple(dims))
-        if tag not in _SIMPLE_ARITY:
-            self.fail(f"unknown family tag {tag!r}", start)
-        arity = _SIMPLE_ARITY[tag]
-        params = []
-        for k in range(arity):
-            self.expect(":" if k == 0 else ",")
-            params.append(self.read_int())
-        return FamilySpec(tag, tuple(params))
-
-    def _int_follows(self) -> bool:
-        save = self.pos
-        self.pos += 1
-        ok = self.at_int()
-        self.pos = save
-        return ok
-
-
-def parse_family(text: str) -> FamilySpec:
-    parser = _SpecParser(text.strip())
-    spec = parser.parse_spec()
-    if parser.pos != len(parser.text):
-        parser.fail("trailing characters after family spec")
-    return spec
-
-
-def build_family(spec: FamilySpec) -> Graph:
-    tag, p = spec.tag, spec.params
-    if tag == "path":
-        return path(*p)
-    if tag == "cycle":
-        return cycle(*p)
-    if tag == "complete":
-        return complete(*p)
-    if tag == "star":
-        return star(*p)
-    if tag == "gn":
-        return doubling_gadget(*p)
-    if tag == "fan":
-        return fan_chain(*p)
-    if tag == "hat":
-        return hat_chain(*p)
-    if tag == "cl":
-        return circular_ladder(*p)
-    if tag == "ml":
-        return mobius_ladder(*p)
-    if tag == "hamming":
-        return hamming(*p)
-    if tag == "fig3":
-        return predomination_penalty_graph()
-    if tag == "tree":
-        return random_tree(*p)
-    if tag == "lex":
-        return lexicographic_product(build_family(p[0]), build_family(p[1]))
-    if tag == "cart":
-        return cartesian_product(build_family(p[0]), build_family(p[1]))
-    if tag == "join":
-        return join(build_family(p[0]), build_family(p[1]))
-    raise AssertionError(f"unhandled tag {tag}")
+_COMBINATORS = {"lex": lexicographic_product, "cart": cartesian_product, "join": join}
+# an integer, an alphanumeric tag (digits allowed after the first character,
+# as in fig3), or any other single character
+_TOKEN = re.compile(r"(?P<int>-?\d+)|(?P<tag>[^\W_]+)|.", re.DOTALL)
 
 
 def graph_from_spec(text: str) -> Graph:
-    """Parse and build a family spec like ``cl:5`` or ``lex:path:3,path:4``."""
-    return build_family(parse_family(text))
+    """Parse and build a family spec like ``cl:5`` or ``lex:path:3,path:4``.
+
+    The whole spec is parsed before any generator runs, so a syntax error
+    anywhere is reported ahead of a parameter a generator rejects.
+    """
+    text = text.strip()
+    tokens = [(m.lastgroup or m.group(), m.group(), m.start())
+              for m in _TOKEN.finditer(text)] + [("end", "", len(text))]
+    pos = 0
+
+    def take(kind: str, what: str) -> tuple[str, int]:
+        nonlocal pos
+        got, token, at = tokens[pos]
+        if got != kind:
+            raise FamilySpecError(f"expected {what}", at)
+        pos += 1
+        return token, at
+
+    def spec():
+        tag, at = take("tag", "a family tag")
+        if tag in _COMBINATORS:
+            take(":", "':'")
+            left = spec()
+            take(",", "','")
+            right = spec()
+            return lambda: _COMBINATORS[tag](left(), right())
+        if tag not in _FAMILIES:
+            raise FamilySpecError(f"unknown family tag {tag!r}", at)
+        count, make = _FAMILIES[tag]
+        args = []
+        # hamming's dimensions bind greedily while ',' is followed by an integer
+        while len(args) < (1 if count is None else count) or (
+                count is None and tokens[pos][0] == "," and tokens[pos + 1][0] == "int"):
+            sep = "," if args else ":"
+            take(sep, repr(sep))
+            args.append(int(take("int", "an integer parameter")[0]))
+        return lambda: make(*args)
+
+    build = spec()
+    if tokens[pos][0] != "end":
+        raise FamilySpecError("trailing characters after family spec", tokens[pos][2])
+    return build()

@@ -26,6 +26,13 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def check_vertex_count(n: int) -> None:
+    """Reject a vertex count outside 1..MAX_VERTICES; generators call this
+    before building anything, so an over-size request costs nothing."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+
+
 class Graph:
     """Immutable simple graph with bitmask adjacency.
 
@@ -37,8 +44,7 @@ class Graph:
     __slots__ = ("n", "adj", "closed", "full_mask", "labels")
 
     def __init__(self, n: int, adj: Iterable[int], labels: Iterable[str] | None = None):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 1..{MAX_VERTICES}, got {n}")
+        check_vertex_count(n)
         adj = tuple(adj)
         if len(adj) != n:
             raise ValueError(f"expected {n} adjacency masks, got {len(adj)}")
@@ -265,43 +271,19 @@ def _complement_components(g: Graph) -> list[int]:
     return comps
 
 
-def _induces_complete(g: Graph, s: int) -> bool:
-    return all(g.closed[v] & s == s for v in bits(s))
-
-
-def _join_split_exists(g: Graph, want_both_noncomplete: bool) -> bool:
-    # G = A v B iff A is a union of complement components; a side induces
-    # a complete subgraph iff each of its components does (cross pairs of
-    # distinct complement components are always adjacent in G).
-    comps = _complement_components(g)
-    c = len(comps)
-    if c < 2:
-        return False
-    comp_complete = [_induces_complete(g, comp) for comp in comps]
-    for pick in range(1, 1 << (c - 1)):
-        side_a_complete = comp_complete[0]
-        side_b_complete = True
-        for i in range(1, c):
-            if pick & (1 << (i - 1)):
-                side_b_complete = side_b_complete and comp_complete[i]
-            else:
-                side_a_complete = side_a_complete and comp_complete[i]
-        if want_both_noncomplete:
-            if not side_a_complete and not side_b_complete:
-                return True
-        elif not side_a_complete or not side_b_complete:
-            return True
-    return False
-
+# G = A v B iff A is a nonempty proper union of complement components.  A
+# side induces a complete graph iff each of its components is one vertex
+# (a larger component has a non-edge; distinct components are adjacent).
 
 def is_join_two_noncomplete(g: Graph) -> bool:
     """Whether g splits as a join of two non-complete graphs."""
-    return _join_split_exists(g, want_both_noncomplete=True)
+    return sum(c.bit_count() > 1 for c in _complement_components(g)) >= 2
 
 
 def is_join_some_noncomplete(g: Graph) -> bool:
     """Whether g splits as a join with at least one non-complete side."""
-    return _join_split_exists(g, want_both_noncomplete=False)
+    comps = _complement_components(g)
+    return len(comps) >= 2 and any(c.bit_count() > 1 for c in comps)
 
 
 # ---------------------------------------------------------------------------

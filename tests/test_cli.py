@@ -1,19 +1,24 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import cdgame
 from cdgame import cli
 from cdgame.families import cycle, predomination_penalty_graph
 from cdgame.graph import emit_graph6
 
 ROOT = Path(__file__).resolve().parent.parent
+# the child process imports the same package as this one, however pytest found it
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(cdgame.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args, stdin=""):
     return subprocess.run([sys.executable, "-m", "cdgame.cli", *args],
                           capture_output=True, text=True, input=stdin,
-                          timeout=300)
+                          env=CHILD_ENV, timeout=300)
 
 
 def test_solve_family():

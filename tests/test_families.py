@@ -2,13 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdgame import families
 from cdgame.families import (FamilySpecError, circular_ladder, complete, cycle,
                              doubling_gadget, fan_chain, graph_from_spec,
-                             hamming, hat_chain, mobius_ladder, parse_family,
-                             path, predomination_penalty_graph, random_tree,
-                             star)
+                             hamming, hat_chain, mobius_ladder, path,
+                             predomination_penalty_graph, random_tree, star)
 from cdgame.graph import (cartesian_product, diameter, has_universal_vertex,
-                          is_connected, max_degree)
+                          is_connected, join, lexicographic_product, max_degree)
 
 
 def test_small_families():
@@ -114,12 +114,9 @@ def test_spec_parsing():
     assert graph_from_spec("cart:cycle:5,complete:2") == circular_ladder(5)
     assert graph_from_spec("lex:path:3,path:4").n == 12
     assert graph_from_spec("join:complete:2,complete:3") == complete(5)
-    spec = parse_family("lex:fan:2,8,path:3")
-    assert spec.tag == "lex" and spec.params[0].params == (2, 8)
+    assert graph_from_spec("lex:fan:2,8,path:3") == lexicographic_product(fan_chain(2, 8), path(3))
     # variadic hamming dims bind greedily inside a combinator
-    spec = parse_family("cart:hamming:2,2,path:3")
-    assert spec.params[0].params == (2, 2)
-    assert spec.params[1].tag == "path"
+    assert graph_from_spec("cart:hamming:2,2,path:3") == cartesian_product(hamming(2, 2), path(3))
 
 
 def test_spec_parse_errors_report_position():
@@ -136,6 +133,10 @@ def test_spec_parse_errors_report_position():
         graph_from_spec("lex:path:3")
     with pytest.raises(FamilySpecError):
         graph_from_spec("")
+    # the whole spec is parsed before path(-1) could be built
+    with pytest.raises(FamilySpecError) as err:
+        graph_from_spec("join:path:-1,fan:2")
+    assert err.value.position == 18
 
 
 @given(st.text(alphabet="pathcyle:,0123456789figmx", max_size=24))
@@ -149,6 +150,67 @@ def test_spec_parser_never_crashes(text):
         pass  # well-formed spec, parameter out of a generator's range
     else:
         assert g.n >= 1
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _simple(tag, make, *params):
+    """A spec drawing each parameter from ``params``, with its generator call."""
+    return st.tuples(*params).map(lambda args: (
+        f"{tag}:{','.join(map(str, args))}" if args else tag, lambda: make(*args)))
+
+
+_SIMPLE_SPECS = st.one_of(
+    _simple("path", path, st.integers(0, 5)),
+    _simple("cycle", cycle, st.integers(2, 5)),
+    _simple("complete", complete, st.integers(0, 4)),
+    _simple("star", star, st.integers(0, 4)),
+    _simple("gn", doubling_gadget, st.integers(1, 3)),
+    _simple("fan", fan_chain, st.integers(0, 2), st.integers(6, 8)),
+    _simple("hat", hat_chain, st.integers(-1, 1)),
+    _simple("cl", circular_ladder, st.integers(2, 5)),
+    _simple("ml", mobius_ladder, st.integers(2, 4)),
+    _simple("tree", random_tree, st.integers(0, 8), st.integers(-2, 3)),
+    _simple("fig3", predomination_penalty_graph),
+    st.lists(st.integers(1, 3), min_size=1, max_size=3).flatmap(
+        lambda dims: _simple("hamming", hamming, *map(st.just, dims))),
+)
+
+
+def _combined(operands):
+    return st.tuples(st.sampled_from([("lex", lexicographic_product),
+                                      ("cart", cartesian_product), ("join", join)]),
+                     operands, operands).map(lambda t: (
+                         f"{t[0][0]}:{t[1][0]},{t[2][0]}",
+                         lambda: t[0][1](t[1][1](), t[2][1]())))
+
+
+@given(st.recursive(_SIMPLE_SPECS, _combined, max_leaves=4))
+@settings(max_examples=300, deadline=None)
+def test_spec_grammar_builds_what_the_generators_build(spec):
+    text, build = spec
+    expected = _outcome(build)
+    got = _outcome(lambda: graph_from_spec(text))
+    assert got == expected
+    if isinstance(expected, families.Graph):
+        assert got.labels == expected.labels
+
+
+@pytest.mark.parametrize("spec", ["path:65", "cycle:65", "complete:1500", "star:64",
+                                  "gn:17", "fan:1,66", "fan:10,8", "hat:7", "cl:33",
+                                  "ml:33", "hamming:65", "tree:6000,1"])
+def test_oversize_spec_is_rejected_before_building(spec, monkeypatch):
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built an over-size graph")
+
+    monkeypatch.setattr(families.Graph, "from_edges", unbuilt)
+    with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.64"):
+        graph_from_spec(spec)
 
 
 def test_generators_yield_valid_connected_graphs():

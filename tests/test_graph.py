@@ -130,6 +130,32 @@ def test_predicates():
     assert is_join_some_noncomplete(w5)
     assert not is_join_two_noncomplete(path(7))
     assert not is_join_some_noncomplete(complete(1))
+    # K_64 has 64 complement components, so a search over splits would try 2^63
+    k64 = complete(64)
+    assert not is_join_two_noncomplete(k64) and not is_join_some_noncomplete(k64)
+    k64_minus_edge = Graph(64, [row & ~0b11 if v < 2 else row
+                                for v, row in enumerate(k64.adj)])
+    assert not is_join_two_noncomplete(k64_minus_edge)
+    assert is_join_some_noncomplete(k64_minus_edge)
+
+
+def _join_splits(g):
+    """(A induces a complete graph, B does) for every split g = A v B."""
+    def complete_on(s):
+        return all(g.closed[v] & s == s for v in bits(s))
+
+    for a in range(1, g.full_mask):
+        b = g.full_mask & ~a
+        if all(g.adj[v] & b == b for v in bits(a)):
+            yield complete_on(a), complete_on(b)
+
+
+@given(arbitrary_graphs())
+@settings(max_examples=300)
+def test_join_predicates_match_bipartition_definition(g):
+    splits = list(_join_splits(g))
+    assert is_join_two_noncomplete(g) == any(not a and not b for a, b in splits)
+    assert is_join_some_noncomplete(g) == any(not a or not b for a, b in splits)
 
 
 def test_full_capacity_graph():

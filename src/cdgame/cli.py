@@ -46,6 +46,14 @@ def _read_corpus(path: str) -> list[tuple[int, str, Graph]]:
         raise CliError(str(exc)) from None
 
 
+def _open_output(stack: ExitStack, path: str):
+    """``path`` opened for writing, before any solve, so a bad path fails fast."""
+    try:
+        return stack.enter_context(open(path, "w", encoding="ascii"))
+    except OSError as exc:
+        raise CliError(f"{path}: {exc.strerror}") from None
+
+
 def _load_graph(args) -> Graph:
     sources = [s for s in (args.family, args.graph6, args.input) if s]
     if len(sources) != 1:
@@ -79,8 +87,8 @@ def _predominated_mask(g: Graph, specs: list[str]) -> int:
                 continue
             try:
                 mask |= 1 << g.vertex_by_label(name)
-            except KeyError as exc:
-                raise CliError(str(exc)) from None
+            except KeyError as exc:  # str() would quote the message
+                raise CliError(exc.args[0]) from None
     return mask
 
 
@@ -131,31 +139,32 @@ def cmd_verify(args) -> int:
     budget = _time_budget(args)
     corpus = None
     names = args.only or None
-    try:
-        if args.corpus:
-            corpus = []
-            for lineno, _, g in _read_corpus(args.corpus):
-                if not is_connected(g):  # the game is defined on connected graphs
-                    raise CliError(f"{args.corpus}:{lineno}: graph is disconnected")
-                corpus.append(g)
-        results = analysis.run_suite(names, corpus=corpus, time_budget=budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    failures = 0
-    for c in results:
-        record = c.to_record()
-        if c.verdict == analysis.PASS:
-            print(f"PASS  {c.claim:36s} {c.instance}")
-        else:
-            failures += 1
-            print(f"{c.verdict.upper():5s} {c.claim:36s} {c.instance} "
-                  f"expected={json.dumps(record['expected'])} "
-                  f"observed={json.dumps(record['observed'])}")
-    print(f"{len(results)} claims, {failures} not passing")
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
+    with ExitStack() as stack:
+        try:
+            if args.corpus:
+                corpus = []
+                for lineno, _, g in _read_corpus(args.corpus):
+                    if not is_connected(g):  # the game is defined on connected graphs
+                        raise CliError(f"{args.corpus}:{lineno}: graph is disconnected")
+                    corpus.append(g)
+            out = _open_output(stack, args.output) if args.output else None
+            results = analysis.run_suite(names, corpus=corpus, time_budget=budget)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
+        failures = 0
+        for c in results:
+            record = c.to_record()
+            if c.verdict == analysis.PASS:
+                print(f"PASS  {c.claim:36s} {c.instance}")
+            else:
+                failures += 1
+                print(f"{c.verdict.upper():5s} {c.claim:36s} {c.instance} "
+                      f"expected={json.dumps(record['expected'])} "
+                      f"observed={json.dumps(record['observed'])}")
+        print(f"{len(results)} claims, {failures} not passing")
+        if out:
             for c in results:
-                fh.write(json.dumps(c.to_record()) + "\n")
+                out.write(json.dumps(c.to_record()) + "\n")
     return 1 if failures else 0
 
 
@@ -196,8 +205,7 @@ def cmd_scan(args) -> int:
     jobs = [(i, line, budget) for i, (_, line, _) in enumerate(entries, start=1)]
     records = []
     with ExitStack() as stack:
-        out = (stack.enter_context(open(args.output, "w", encoding="ascii"))
-               if args.output else sys.stdout)
+        out = _open_output(stack, args.output) if args.output else sys.stdout
         if threads > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
             results = pool.map(_scan_one, jobs, chunksize=8)
@@ -238,7 +246,7 @@ def _read_action(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
         try:
             v = g.vertex_by_label(raw)
         except KeyError as exc:
-            print(exc)
+            print(exc.args[0])
             continue
         if not legal & (1 << v):
             print(f"{g.label(v)} is not a legal move")

@@ -1,4 +1,5 @@
-"""Exact game values by memoized minimax, plus a naive reference oracle.
+"""Exact game values by alpha-beta search over a bound memo, plus a naive
+reference oracle.
 
 Values are move counts (ints); a game that cannot be finished has the
 value :data:`NEVER`, encoded as ``math.inf`` so it orders above every
@@ -9,8 +10,8 @@ The search walks one position ``(played, reach, passes_left)``, where
 predominated set, the moves are the bits of the mask
 :func:`engine.playable` makes of the two, and the mover follows from the
 turn index ``t = |played| + passes consumed + 1``.  The memo is a
-transposition table: it stores the number of vertex moves still to come,
-keyed on what decides them,
+transposition table: it stores bounds ``(lo, hi)`` on the number of
+vertex moves still to come, keyed on what decides them,
 
 - ``dom``;
 - the live frontier, that is the move mask itself: a dead frontier
@@ -21,9 +22,25 @@ keyed on what decides them,
 
 An opening position's playable set holds an undominated vertex and a
 started position's never does, so the key needs no started flag.  A
-position's value is ``|played|`` plus its remaining moves.  The
-predominated set enters only through ``dom``, so :func:`game_values`
-serves several predominated sets from one search and one memo.
+position's value is ``|played|`` plus its remaining moves.
+
+The search is fail-soft alpha-beta (Dominator minimizes, Staller
+maximizes).  A position not yet dominated needs at least one more move,
+so a new entry starts at ``(1, NEVER)``; a search within a window
+``(alpha, beta)`` tightens ``hi`` when it fails low, ``lo`` when it fails
+high, and both when it lands inside.  A stored pair that settles the
+window answers at once; otherwise it narrows the window before the
+position is expanded again.  Dominator tries the moves that newly
+dominate the most vertices first and Staller the fewest, lowest vertex
+first on ties.  Bounds hold for every window, and the predominated set
+enters only through ``dom``, so :func:`game_values` serves several
+predominated sets from one search and one memo.
+
+An optimal move keeps a fixed tie-break, the lowest vertex that attains
+the value and a pass only when none does: after one full-window search
+for the value, each child is tested with a null window, a search whose
+window holds no integer and so only answers whether the child reaches
+the value.
 
 ``solve`` is the production path; ``solve_naive`` is a deliberately
 plain recursion with no memo and no shared move-generation code, used to
@@ -60,6 +77,11 @@ class BudgetExceeded(Exception):
 
 @dataclass
 class SolveReport:
+    """A solve's value, one optimal line and its search stats.
+    ``states_expanded`` counts every expansion, including a position's
+    re-expansion under a new window, so ``memo_entries`` can be lower;
+    ``memo_hits`` counts the lookups whose stored bounds settled the
+    window."""
     value: GameValue
     principal_line: list[tuple[Player, int | str]] = field(default_factory=list)
     states_expanded: int = 0
@@ -69,11 +91,11 @@ class SolveReport:
 
 
 class _Search:
-    """One memoized minimax search over a fixed graph, variant and pass
-    budget.  The move choices start from ``cfg``'s predominated set, but
-    the memo holds for every predominated set, since :meth:`remaining`
-    takes it inside ``dom``.  The time budget, if any, runs from
-    construction or :meth:`restart`."""
+    """One alpha-beta search over a fixed graph, variant and pass budget.
+    The move choices start from ``cfg``'s predominated set, but the memo
+    holds for every predominated set, since :meth:`remaining` takes it
+    inside ``dom``.  The time budget, if any, runs from construction or
+    :meth:`restart`."""
 
     def __init__(self, g: Graph, cfg: GameConfig, time_budget: float | None = None):
         cfg.validate_for(g)
@@ -89,12 +111,19 @@ class _Search:
         self.start = time.monotonic()
         self.deadline = self.start + time_budget if time_budget is not None else None
 
-    def remaining(self, played: int, reach: int, dom: int, passes_left: int) -> GameValue:
-        """Vertex moves still to come under optimal play; ``dom`` is
-        ``reach`` plus the predominated set."""
+    def remaining(self, played: int, reach: int, dom: int, passes_left: int,
+                  alpha: GameValue = -1, beta: GameValue = NEVER) -> GameValue:
+        """Vertex moves still to come under optimal play, fail-soft within
+        the window ``(alpha, beta)``: a result at or below ``alpha`` is an
+        upper bound, one at or above ``beta`` a lower bound, and one
+        strictly between them exact, so the default full window gives the
+        exact value.  ``dom`` is ``reach`` plus the predominated set."""
         g = self.g
-        if dom == g.full_mask:
+        full = g.full_mask
+        if dom == full:
             return 0
+        if beta <= 1:  # an undominated position needs a move, or is NEVER
+            return 1
         live = playable(g, reach, dom)
         if not live:
             return NEVER
@@ -102,50 +131,110 @@ class _Search:
         turn = played.bit_count() + (self.cfg.pass_budget - passes_left) + 1
         key = (dom, live, turn if turn <= 2 else 3 + turn % 2, passes_left)
         memo = self.memo
-        cached = memo.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
+        entry = memo.get(key)
+        if entry is None:
+            lo, hi = 1, NEVER
+        else:
+            lo, hi = entry
+            if lo >= beta or lo == hi:
+                self.hits += 1
+                return lo
+            if hi <= alpha:
+                self.hits += 1
+                return hi
+        if alpha < lo:
+            alpha = lo
+        if beta > hi:
+            beta = hi
         self.expanded += 1
         if self.deadline is not None and self.expanded % 4096 == 1:
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded
         dominator = mover_at(self.cfg.variant, turn) is Player.DOMINATOR
-        best = NEVER if dominator else -1.0
         closed = g.closed
+        # Dominator tries the moves that newly dominate the most first,
+        # Staller the fewest; each packed as rank << 6 | v, so ties go to
+        # the lowest vertex
+        undom = full & ~dom
+        order = []
         moves = live
         while moves:
             low = moves & -moves
             moves ^= low
-            near = closed[low.bit_length() - 1]
-            child = 1 + self.remaining(played | low, reach | near, dom | near, passes_left)
-            if dominator:
+            v = low.bit_length() - 1
+            gain = (closed[v] & undom).bit_count()
+            order.append((64 - gain if dominator else gain) << 6 | v)
+        order.sort()
+        window_lo, window_hi = alpha, beta
+        if dominator:
+            best = NEVER
+            for m in order:
+                v = m & 63
+                near = closed[v]
+                child = 1 + self.remaining(played | 1 << v, reach | near, dom | near,
+                                           passes_left, alpha - 1, beta - 1)
                 if child < best:
                     best = child
-            elif child > best:
-                best = child
-        if not dominator and passes_left > 0:
-            child = self.remaining(played, reach, dom, passes_left - 1)
-            if child > best:
-                best = child
-        memo[key] = best
+                    if best <= alpha:
+                        break
+                    if best < beta:
+                        beta = best
+        else:
+            best = 0
+            for m in order:
+                v = m & 63
+                near = closed[v]
+                child = 1 + self.remaining(played | 1 << v, reach | near, dom | near,
+                                           passes_left, alpha - 1, beta - 1)
+                if child > best:
+                    best = child
+                    if best >= beta:
+                        break
+                    if best > alpha:
+                        alpha = best
+            if best < beta and passes_left > 0:
+                child = self.remaining(played, reach, dom, passes_left - 1, alpha, beta)
+                if child > best:
+                    best = child
+        if best <= window_lo:
+            hi = best
+        elif best >= window_hi:
+            lo = best
+        else:
+            lo = hi = best
+        memo[key] = (lo, hi)
         return best
 
     def best_action(self, played: int, reach: int, passes_left: int) -> int | str:
         """Value-achieving action: lowest playable vertex first, pass only
-        if no vertex attains the value."""
+        if no vertex attains the value.  One full-window search finds the
+        value, then a null window around it tests each child in turn."""
+        g = self.g
         dom = reach | self.cfg.predominated
-        moves = playable(self.g, reach, dom)
+        moves = playable(g, reach, dom)
         if not moves:
             raise ValueError("no legal action: the game is over")
         target = self.remaining(played, reach, dom, passes_left)
-        closed = self.g.closed
+        staller = mover_for(self.cfg, played, passes_left) is Player.STALLER
+        # windows on a vertex child's remaining moves, which attains the
+        # target when it equals t = target - 1
+        if is_never(target):
+            alpha, beta = g.n, NEVER  # a finite remaining is at most n
+        elif staller:  # every child is at most t: is it at least t?
+            alpha, beta = target - 2, target - 1
+        else:  # every child is at least t: is it at most t?
+            alpha, beta = target - 1, target
+        # a child attains at or above beta, except Dominator's below it
+        high = staller or is_never(target)
+        closed = g.closed
         for v in bits(moves):
-            if 1 + self.remaining(played | (1 << v), reach | closed[v], dom | closed[v],
-                                  passes_left) == target:
+            child = self.remaining(played | (1 << v), reach | closed[v], dom | closed[v],
+                                   passes_left, alpha, beta)
+            if (child >= beta) == high:
                 return v
-        if (mover_for(self.cfg, played, passes_left) is Player.STALLER and passes_left > 0
-                and self.remaining(played, reach, dom, passes_left - 1) == target):
+        # a pass keeps the move count, so its window is one higher
+        if (staller and passes_left > 0 and self.remaining(
+                played, reach, dom, passes_left - 1, alpha + 1, beta + 1) >= target):
             return PASS
         raise ValueError("no legal action from this state")
 

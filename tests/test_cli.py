@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -32,8 +33,8 @@ def test_solve_reports_search_stats():
     out = run_cli("solve", "--family", "cart:path:4,path:5")
     assert out.returncode == 0
     stats = out.stdout.splitlines()[2]
-    assert stats.startswith("states expanded = 2226, memo hits = 10038, "
-                            "memo entries = 2226, states/s = ")
+    assert stats.startswith("states expanded = 1545, memo hits = 1673, "
+                            "memo entries = 1118, states/s = ")
     assert stats.endswith(" s")
 
 
@@ -326,3 +327,33 @@ def test_solve_budget_exceeded_shows_the_budget():
     out = run_cli("solve", "--family", "cart:path:5,path:5", "--time-budget", "0.001")
     assert out.returncode == 3
     assert out.stdout == "budget exceeded (0.001 s)\n"
+
+
+def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("A_\n")
+    target = tmp_path / "missing" / "out.jsonl"
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output was opened")
+
+    monkeypatch.setattr(cli.analysis, "run_suite", no_solve)
+    monkeypatch.setattr(cli, "_scan_one", no_solve)
+    for argv in (["verify", "--only", "oracle"], ["scan", "--corpus", str(corpus)]):
+        assert cli.main([*argv, "--output", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {target}: No such file or directory\n"
+
+
+def test_label_errors_are_not_quoted(monkeypatch, capsys):
+    # str() of a KeyError quotes its message
+    for label, message in (("9", "vertex index 9 out of range 0..3"),
+                           ("nosuch", "no vertex labeled 'nosuch'")):
+        assert cli.main(["solve", "--family", "path:4", "--predominate", label]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("9\nzz\n2\n"))
+    assert cli.main(["play", "--family", "path:4", "--human", "s"]) == 0
+    shown = capsys.readouterr().out
+    assert "): vertex index 9 out of range 0..3\n" in shown
+    assert "): no vertex labeled 'zz'\n" in shown

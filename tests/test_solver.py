@@ -1,12 +1,14 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdgame.analysis import predomination_scan
 from cdgame.engine import (PASS, GameConfig, GameState, Player, Status,
-                           Variant, apply_move, apply_pass, status)
+                           Variant, apply_move, apply_pass, legal_moves,
+                           mover, mover_at, status)
 from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
                              graph_from_spec, path, predomination_penalty_graph)
-from cdgame.graph import Graph
+from cdgame.graph import Graph, bits
 from cdgame.solver import (NEVER, BudgetExceeded, format_value, game_value,
                            game_values, is_never, optimal_move, solve, solve_naive)
 
@@ -142,18 +144,20 @@ def test_deterministic_reports():
 
 
 # value, states expanded, memo hits and principal line of `cdgame solve` on
-# six instances; a change to the search must reproduce all four exactly
+# seven instances; a change to the search must reproduce all four exactly
 _SOLVE_GATE = [
-    ("cart:path:4,path:5", VD, 0, None, 11, 2226, 10038,
+    ("cart:path:4,path:5", VD, 0, None, 11, 1545, 1673,
      "D:6 S:1 D:7 S:2 D:11 S:3 D:8 S:9 D:16 S:13 D:14"),
-    ("fan:3,8", VS, 1, None, 7, 449, 1058,
+    ("fan:3,8", VS, 1, None, 7, 88, 57,
      "S:r1 D:h1 S:r7 D:h2 S:pass D:r13 S:r14 D:h3"),
-    ("cl:6", Variant.STALLER_SKIPS_FIRST, 0, None, 7, 229, 554,
+    ("cl:6", Variant.STALLER_SKIPS_FIRST, 0, None, 7, 157, 76,
      "D:(1,1) D:(1,2) S:(2,1) D:(2,2) S:(3,1) D:(4,1) S:(4,2)"),
-    ("fig3", VD, 0, "c", 8, 51, 47, "D:b S:a D:c S:d D:e S:e' D:f S:g"),
-    ("gn:3", VD, 2, None, 3, 82, 102, "D:u3 S:u2 D:u1"),
-    ("cart:path:5,path:5", VD, 0, None, 14, 12387, 79004,
+    ("fig3", VD, 0, "c", 8, 43, 27, "D:b S:a D:c S:d D:e S:e' D:f S:g"),
+    ("gn:3", VD, 2, None, 3, 24, 7, "D:u3 S:u2 D:u1"),
+    ("cart:path:5,path:5", VD, 0, None, 14, 6437, 9378,
      "D:6 S:1 D:11 S:10 D:12 S:2 D:3 S:4 D:17 S:9 D:15 S:14 D:22 S:19"),
+    ("cart:path:6,path:5", VD, 0, None, 17, 27944, 61270,
+     "D:6 S:1 D:11 S:2 D:3 S:4 D:12 S:9 D:16 S:13 D:18 S:15 D:21 S:19 D:26 S:23 D:24"),
 ]
 
 
@@ -257,3 +261,90 @@ def test_value_sandwiches(g):
     p2 = game_value(g, pass_budget=2)
     assert d <= p1 <= d + 1
     assert p1 <= p2 <= d + 2
+
+
+def _is_count(value):
+    return is_never(value) or type(value) is int
+
+
+@given(arbitrary_graphs(max_n=6), _cfg_strategy, st.integers(0, 63))
+@settings(max_examples=150, deadline=None)
+def test_values_are_ints_unless_never(g, variant_budget, pre_bits):
+    # a float bound or start value still compares right, but a value such
+    # as 4.0 would reach the records as "4.0"
+    variant, budget = variant_budget
+    pre = pre_bits & g.full_mask
+    assert _is_count(solve(g, GameConfig(variant, budget, pre)).value)
+    pres = [0, pre, g.full_mask] + [1 << v for v in range(g.n)]
+    assert all(map(_is_count, game_values(g, pres, variant, budget)))
+    scan = predomination_scan(g)
+    assert all(map(_is_count, [scan.value, *scan.per_vertex]))
+
+
+def _brute_options(g, cfg, played):
+    """The dominated set and the legal picks, from the rules alone."""
+    dom = cfg.predominated
+    for u in bits(played):
+        dom |= g.closed[u]
+    return dom, [v for v in range(g.n)
+                 if not played >> v & 1 and (not played or g.adj[v] & played)
+                 and g.closed[v] & ~dom]
+
+
+def _brute_value(g, cfg, played, passes_left):
+    """Total vertex moves under optimal play."""
+    dom, options = _brute_options(g, cfg, played)
+    if dom == g.full_mask:
+        return played.bit_count()
+    if not options:
+        return NEVER
+    turn = played.bit_count() + cfg.pass_budget - passes_left + 1
+    staller = mover_at(cfg.variant, turn) is Player.STALLER
+    values = [_brute_value(g, cfg, played | 1 << v, passes_left) for v in options]
+    if staller and passes_left > 0:
+        values.append(_brute_value(g, cfg, played, passes_left - 1))
+    return max(values) if staller else min(values)
+
+
+def _brute_move(g, cfg, played, passes_left):
+    """The lowest vertex that attains the value, else a pass."""
+    target = _brute_value(g, cfg, played, passes_left)
+    for v in _brute_options(g, cfg, played)[1]:
+        if _brute_value(g, cfg, played | 1 << v, passes_left) == target:
+            return v
+    assert _brute_value(g, cfg, played, passes_left - 1) == target
+    return PASS
+
+
+_PRISM = Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 3),
+                              (2, 5), (3, 4), (4, 5)])
+
+
+@given(connected_graphs(max_n=6), _cfg_strategy, st.integers(0, 63),
+       st.lists(st.integers(0, 63), max_size=8))
+@settings(max_examples=150, deadline=None)
+@example(path(5), (VS, 0), 1 << 2, [])      # value NEVER, Staller to move
+@example(path(5), (VD, 0), 0b01110, [])     # value NEVER, Dominator to move
+@example(_PRISM, (VS, 1), 0, [])            # Staller's only optimal action is a pass
+@example(path(4), (VD, 1), 0, [1])          # a vertex ties with a pass
+def test_optimal_move_matches_brute_force(g, variant_budget, pre_bits, choices):
+    # walk to a random ongoing position; each choice picks an action among
+    # the legal vertices, plus a pass when Staller has one
+    variant, budget = variant_budget
+    cfg = GameConfig(variant, budget, pre_bits & g.full_mask)
+    pos = GameState(0, budget)
+    if status(g, cfg, pos) is not Status.ONGOING:
+        with pytest.raises(ValueError):
+            optimal_move(g, cfg, pos)
+        return
+    for c in choices:
+        actions = list(bits(legal_moves(g, cfg, pos)))
+        if mover(cfg, pos) is Player.STALLER and pos.passes_left > 0:
+            actions.append(PASS)
+        action = actions[c % len(actions)]
+        nxt = (apply_pass(cfg, pos) if action == PASS
+               else apply_move(g, cfg, pos, action))
+        if status(g, cfg, nxt) is not Status.ONGOING:
+            break
+        pos = nxt
+    assert optimal_move(g, cfg, pos) == _brute_move(g, cfg, pos.played, pos.passes_left)

@@ -206,8 +206,10 @@ def cmd_scan(args) -> int:
     records = []
     with ExitStack() as stack:
         out = _open_output(stack, args.output) if args.output else sys.stdout
-        if threads > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=threads))
+        # a fork pool starts all its workers at once, so ask for no more than lines
+        workers = min(threads, len(jobs))
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_scan_one, jobs, chunksize=8)
         else:
             results = map(_scan_one, jobs)

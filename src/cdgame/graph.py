@@ -8,7 +8,7 @@ count ``n``, per-vertex adjacency masks, and optional display labels.
 Also provides the classical invariants the game analysis needs
 (connectivity, diameter, join splits), the graph constructions
 used to build test instances (complement, join, Cartesian and
-lexicographic products), and graph6 text I/O for corpus files.
+lexicographic products), and graph6 reading for corpus files.
 """
 
 from __future__ import annotations
@@ -287,15 +287,15 @@ def is_join_some_noncomplete(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# graph6 I/O (standard format, single-byte size field: n <= 62)
+# graph6 input (standard format, single-byte size field: n <= 62)
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 line into a Graph."""
     s = line.strip()
-    if not s:
-        raise ValueError("empty graph6 line")
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
+    if not s:
+        raise ValueError("empty graph6 line")
     data = [ord(ch) - 63 for ch in s]
     if any(b < 0 or b > 63 for b in data):
         raise ValueError("graph6 characters must be in the range 63..126")
@@ -325,23 +325,6 @@ def parse_graph6(line: str) -> Graph:
                 rows[col] |= 1 << row
             idx += 1
     return Graph(n, rows)
-
-
-def emit_graph6(g: Graph) -> str:
-    """Encode a Graph as one graph6 line (inverse of parse_graph6)."""
-    if g.n > 62:
-        raise ValueError("only single-byte sizes (n <= 62) are supported")
-    nbits = g.n * (g.n - 1) // 2
-    need = (nbits + 5) // 6
-    bitstream = 0
-    for col in range(1, g.n):
-        for row in range(col):
-            bitstream = (bitstream << 1) | (g.adj[row] >> col & 1)
-    bitstream <<= need * 6 - nbits
-    out = [chr(g.n + 63)]
-    for i in range(need - 1, -1, -1):
-        out.append(chr((bitstream >> (6 * i) & 63) + 63))
-    return "".join(out)
 
 
 def read_graph6_lines(path) -> list[tuple[int, str, Graph]]:

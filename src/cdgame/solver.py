@@ -42,6 +42,10 @@ for the value, each child is tested with a null window, a search whose
 window holds no integer and so only answers whether the child reaches
 the value.
 
+:func:`optimal_move` keeps its last search, memo included, and builds a
+new one only for another graph (labels aside) or config, so the replies
+of a game share one memo; its memory lives until such a call.
+
 ``solve`` is the production path; ``solve_naive`` is a deliberately
 plain recursion with no memo and no shared move-generation code, used to
 cross-check ``solve`` on small instances.
@@ -288,12 +292,20 @@ def game_values(g: Graph, predominated_sets: Iterable[int],
     return values
 
 
+_last_search: _Search | None = None
+
+
 def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     """A minimax-optimal action for the mover at ``st``; ties broken by
     smallest vertex index with pass considered last.  The game must be
-    ongoing: a won or stuck position raises ``ValueError``."""
+    ongoing: a won or stuck position raises ``ValueError``.  The search
+    and its memo are kept between calls; a call with another graph or
+    config replaces them, so their memory lives until then."""
+    global _last_search
+    if _last_search is None or _last_search.g != g or _last_search.cfg != cfg:
+        _last_search = _Search(g, cfg)
     reach = closed_neighborhood_set(g, st.played)
-    return _Search(g, cfg).best_action(st.played, reach, st.passes_left)
+    return _last_search.best_action(st.played, reach, st.passes_left)
 
 
 def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None) -> GameValue:

@@ -8,7 +8,8 @@ from pathlib import Path
 import cdgame
 from cdgame import cli
 from cdgame.families import cycle, predomination_penalty_graph
-from cdgame.graph import emit_graph6
+
+from .graph6 import emit_graph6
 
 ROOT = Path(__file__).resolve().parent.parent
 # the child process imports the same package as this one, however pytest found it
@@ -147,6 +148,19 @@ def test_scan_bad_graph6_line(tmp_path):
     assert out.stdout == ""  # checked before any record is written
 
 
+def test_header_only_graph6_line(tmp_path, capsys):
+    corpus = tmp_path / "header.g6"
+    corpus.write_text("A_\n>>graph6<<\n")
+    assert cli.main(["scan", "--corpus", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {corpus}:2: empty graph6 line\n"
+    assert cli.main(["solve", "--graph6", ">>graph6<<"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: empty graph6 line\n"
+
+
 def _non_ascii_corpus(tmp_path):
     corpus = tmp_path / "latin1.g6"
     corpus.write_bytes(b"A_\n\xff\n")
@@ -212,6 +226,41 @@ def test_scan_threads_match_sequential(tmp_path, corpus):
     par = run_cli("scan", "--corpus", str(path_), "--threads", "2")
     assert seq.returncode == par.returncode == 0
     assert seq.stdout == par.stdout
+
+
+def test_scan_pool_starts_no_more_workers_than_lines(tmp_path, monkeypatch, capsys):
+    # a stand-in pool records its size; no worker process is started
+    started = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    corpus = tmp_path / "three.g6"
+    corpus.write_text("A_\nBw\nCF\n")
+    argv = ["scan", "--corpus", str(corpus)]
+    assert cli.main(argv + ["--threads", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert cli.main(argv + ["--threads", "16"]) == 0
+    assert capsys.readouterr().out == serial
+    monkeypatch.setenv("CDGAME_THREADS", "16")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == serial
+    assert started == [3, 3]
+    one = tmp_path / "one.g6"
+    one.write_text("A_\n")
+    assert cli.main(["scan", "--corpus", str(one), "--threads", "16"]) == 0
+    assert started == [3, 3]  # one line is scanned in this process
 
 
 def test_scan_rejects_bad_thread_counts(tmp_path, monkeypatch, capsys):

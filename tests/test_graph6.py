@@ -4,9 +4,10 @@ import networkx as nx
 import pytest
 from hypothesis import given
 
-from cdgame.graph import Graph, emit_graph6, parse_graph6
+from cdgame.graph import Graph, parse_graph6
 
 from .conftest import arbitrary_graphs
+from .graph6 import emit_graph6
 
 
 def test_hand_decoded_k2():
@@ -36,6 +37,8 @@ def test_header_prefix_accepted():
 def test_parse_errors():
     with pytest.raises(ValueError):
         parse_graph6("")
+    with pytest.raises(ValueError):
+        parse_graph6(">>graph6<<")  # a header with no graph
     with pytest.raises(ValueError):
         parse_graph6("A")  # missing body
     with pytest.raises(ValueError):

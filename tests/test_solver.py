@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cdgame import solver
 from cdgame.analysis import predomination_scan
 from cdgame.engine import (PASS, GameConfig, GameState, Player, Status,
                            Variant, apply_move, apply_pass, legal_moves,
@@ -348,3 +349,63 @@ def test_optimal_move_matches_brute_force(g, variant_budget, pre_bits, choices):
             break
         pos = nxt
     assert optimal_move(g, cfg, pos) == _brute_move(g, cfg, pos.played, pos.passes_left)
+
+
+def _relabeled(g):
+    return Graph(g.n, g.adj, [f"x{v}" for v in range(g.n)])
+
+
+def test_optimal_move_keeps_its_search_for_equal_inputs():
+    g = cycle(6)
+    cfg = GameConfig(VS, pass_budget=1)
+    root = GameState(0, 1)
+    first = optimal_move(g, cfg, root)
+    kept = solver._last_search
+    # an equal graph with other labels and an equal config reuse the search
+    assert optimal_move(_relabeled(g), GameConfig(VS, 1), root) == first
+    assert solver._last_search is kept
+    optimal_move(g, GameConfig(VS, 1, predominated=1), root)
+    assert solver._last_search is not kept
+    kept = solver._last_search
+    optimal_move(path(6), GameConfig(VS, 1, predominated=1), root)
+    assert solver._last_search is not kept
+
+
+@given(connected_graphs(max_n=6), connected_graphs(max_n=6), _cfg_strategy,
+       _cfg_strategy, st.integers(0, 63), st.integers(0, 63),
+       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_kept_search_matches_brute_force_across_games(g, h, first, second, pre_a,
+                                                      pre_b, steps):
+    # Four games advance one action at a time in the order ``steps`` picks,
+    # so optimal_move keeps its search between calls on the same graph and
+    # config and replaces it on a switch: two configs on g, one on h, and
+    # the first config on an equal copy of g with other labels.  Every
+    # reply is checked; the game goes on with it or with another legal
+    # action.  Once ``steps`` runs out, the engine plays every game out.
+    games = [(g, GameConfig(*first, pre_a & g.full_mask)),
+             (g, GameConfig(*second, pre_b & g.full_mask)),
+             (h, GameConfig(*first, pre_b & h.full_mask)),
+             (_relabeled(g), GameConfig(*first, pre_a & g.full_mask))]
+    positions = [GameState(0, cfg.pass_budget) for _, cfg in games]
+    steps = iter(steps)
+    while True:
+        ongoing = [i for i, (gr, cfg) in enumerate(games)
+                   if status(gr, cfg, positions[i]) is Status.ONGOING]
+        if not ongoing:
+            break
+        pick, deviate = next(steps, (0, None))
+        i = ongoing[pick % len(ongoing)]
+        gr, cfg = games[i]
+        pos = positions[i]
+        reply = optimal_move(gr, cfg, pos)
+        assert reply == _brute_move(gr, cfg, pos.played, pos.passes_left)
+        actions = list(bits(legal_moves(gr, cfg, pos)))
+        if mover(cfg, pos) is Player.STALLER and pos.passes_left > 0:
+            actions.append(PASS)
+        if deviate is None:
+            action = reply
+        else:
+            action = (actions + [reply])[deviate % (len(actions) + 1)]
+        positions[i] = (apply_pass(cfg, pos) if action == PASS
+                        else apply_move(gr, cfg, pos, action))

@@ -9,6 +9,10 @@ the solver-vs-oracle agreement sweep.  The corpus claims are predicates
 over one table of per-graph game values, filled on demand, so a suite
 run solves each value of each corpus graph at most once.
 
+Every record comes from :func:`_records`: expected values in record
+order against one timed ``observe`` call for the observed ones; a solve
+past the time budget makes all of them budget-exceeded records.
+
 ``predomination_scan`` is the search tool for the open questions about
 vertices whose predomination shifts the game value; it reports findings
 and never claims (non-)existence.
@@ -18,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from typing import Any, Callable, Iterable
 
@@ -58,32 +62,33 @@ class ClaimResult:
 def _jsonable(value):
     if isinstance(value, float) and is_never(value):
         return "never"
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
     return value
 
 
-def _claim(claim: str, instance: str, expected, observed, elapsed: float = 0.0) -> ClaimResult:
-    verdict = PASS if expected == observed else FAIL
-    return ClaimResult(claim, instance, expected, observed, verdict, elapsed)
-
-
-def _over_budget(claim: str, instance: str, expected, start: float) -> ClaimResult:
-    """The record of a claim whose solve ran past the time budget."""
-    return ClaimResult(claim, instance, expected, "budget exceeded", BUDGET,
-                       time.monotonic() - start)
+def _records(instance: str, expected: dict[str, Any],
+             observe: Callable[[], Iterable]) -> list[ClaimResult]:
+    """One record per claim of ``expected`` (claim -> expected value, in
+    record order), against the values ``observe()`` returns in that order.
+    ``expected`` is read after ``observe`` returns, so a claim whose
+    expectation is itself solved is added by ``observe``.  A solve past
+    the time budget turns every claim of ``expected`` into a
+    budget-exceeded record; each record carries the time of the whole call."""
+    start = time.monotonic()
+    try:
+        observed = list(observe())
+    except BudgetExceeded:
+        return [ClaimResult(claim, instance, e, "budget exceeded", BUDGET,
+                            time.monotonic() - start) for claim, e in expected.items()]
+    elapsed = time.monotonic() - start
+    return [ClaimResult(claim, instance, e, o, PASS if e == o else FAIL, elapsed)
+            for (claim, e), o in zip(expected.items(), observed)]
 
 
 def _timed_claim(claim: str, instance: str, expected,
                  compute: Callable[[], Any]) -> ClaimResult:
-    start = time.monotonic()
-    try:
-        observed = compute()
-    except BudgetExceeded:
-        return _over_budget(claim, instance, expected, start)
-    return _claim(claim, instance, expected, observed, time.monotonic() - start)
+    return _records(instance, {claim: expected}, lambda: [compute()])[0]
 
 
 def load_corpus(path=None) -> list[Graph]:
@@ -101,17 +106,13 @@ def load_corpus(path=None) -> list[Graph]:
 def check_gadget_family(n: int, value: Solver = game_value) -> list[ClaimResult]:
     """Doubling gadget: d-game n, s-game 2n, the extreme s/d ratio."""
     g = families.doubling_gadget(n)
-    instance = f"gn:{n}"
-    expected = {"gadget/d": n, "gadget/s": 2 * n, "gadget/ratio": True}
-    start = time.monotonic()
-    try:
-        d = value(g)
-        s = value(g, Variant.STALLER_START)
-    except BudgetExceeded:
-        return [_over_budget(claim, instance, e, start) for claim, e in expected.items()]
-    elapsed = time.monotonic() - start
-    return [_claim(claim, instance, e, observed, elapsed)
-            for (claim, e), observed in zip(expected.items(), (d, s, s == 2 * d))]
+
+    def observe():
+        d, s = value(g), value(g, Variant.STALLER_START)
+        return d, s, s == 2 * d
+
+    return _records(f"gn:{n}", {"gadget/d": n, "gadget/s": 2 * n, "gadget/ratio": True},
+                    observe)
 
 
 def check_lexicographic(g: Graph, h: Graph, g_name: str, h_name: str,
@@ -122,9 +123,9 @@ def check_lexicographic(g: Graph, h: Graph, g_name: str, h_name: str,
     value, since the expectations are solved too."""
     if g.n * h.n > 20:
         raise ValueError("direct product solving is limited to 20 vertices")
-    instance = f"lex:{g_name},{h_name}"
-    start = time.monotonic()
-    try:
+    expected: dict[str, Any] = {"lex/d-case": None, "lex/s-case": None}
+
+    def observe():
         gd = value(g)
         hd = value(h)
         g_skip = value(g, Variant.STALLER_SKIPS_FIRST)
@@ -133,34 +134,20 @@ def check_lexicographic(g: Graph, h: Graph, g_name: str, h_name: str,
         product = lexicographic_product(g, h)
         obs_d = value(product)
         obs_s = value(product, Variant.STALLER_START)
-    except BudgetExceeded:
-        return [_over_budget(claim, instance, None, start)
-                for claim in ("lex/d-case", "lex/s-case")]
-    elapsed = time.monotonic() - start
 
-    if g.n == 1:
-        expect_d = hd
-    elif hd == 1:
-        expect_d = gd
-    else:
-        expect_d = g_skip + 1
+        expected["lex/d-case"] = (hd if g.n == 1 else
+                                  gd if hd == 1 else
+                                  g_skip + 1)
+        expected["lex/s-case"] = (hs if g.n == 1 else
+                                  gs if gs >= 2 else
+                                  2 if hs >= 2 else
+                                  hs)
+        if hd >= 2 and g.n >= 2:
+            expected["lex/d-range"] = True
+            return obs_d, obs_s, gd <= obs_d <= gd + 2
+        return obs_d, obs_s
 
-    if g.n == 1:
-        expect_s = hs
-    elif gs >= 2:
-        expect_s = gs
-    elif hs >= 2:
-        expect_s = 2
-    else:
-        expect_s = hs
-
-    claims = [
-        _claim("lex/d-case", instance, expect_d, obs_d, elapsed),
-        _claim("lex/s-case", instance, expect_s, obs_s, elapsed),
-    ]
-    if hd >= 2 and g.n >= 2:
-        claims.append(_claim("lex/d-range", instance, True, gd <= obs_d <= gd + 2, elapsed))
-    return claims
+    return _records(f"lex:{g_name},{h_name}", expected, observe)
 
 
 def check_ladders(n: int, value: Solver = game_value) -> list[ClaimResult]:
@@ -352,45 +339,23 @@ def _oracle(row: _Row):
         value = row.value(cfg.variant, cfg.pass_budget, cfg.predominated)
         yield ("oracle/agreement",
                f"{row.name}/{cfg.variant.value}/k{cfg.pass_budget}/p{cfg.predominated}",
-               value == solve_naive(row.g, cfg))
+               value == solve_naive(row.g, cfg, time_budget=row.time_budget))
 
 
-#: the corpus claims of each group that has them, in record order, and the
-#: predicate yielding ``(claim, instance, holds)`` for one table row
-_CORPUS_CLAIMS: dict[str, tuple[tuple[str, ...], Callable[[_Row], Iterable]]] = {
-    "small-values": (("small-value/d-one", "small-value/d-two",
-                      "small-value/s-one", "small-value/s-two"), _small_values),
-    "diameter": (("diameter/d-bound", "diameter/s-bound"), _diameter_bounds),
-    "staller-start": (("staller-start/sandwich",), _staller_start),
-    "skip": (("skip/d-sandwich", "skip/s-sandwich"), _skip),
-    "pass": (("pass/bound-k1", "pass/bound-k2", "pass/monotone"), _pass),
-    "predomination": (("predomination/cut-vertex",
-                       "predomination/opening-not-worse"), _predomination),
-    "oracle": (("oracle/agreement",), _oracle),
-}
-
-
-def _aggregate(claim: str, bad: list[str], elapsed: float) -> ClaimResult:
-    observed = "0 violations" if not bad else f"{len(bad)} violations: " + ", ".join(bad[:5])
-    return _claim(claim, "corpus", "0 violations", observed, elapsed)
-
-
-def _corpus_claims(group: str, table: list[_Row]) -> list[ClaimResult]:
-    """One aggregate record per corpus claim of ``group``, its predicate
-    applied to every row.  A solve past the time budget reports each of
-    the group's corpus claims as budget-exceeded."""
-    claims, predicate = _CORPUS_CLAIMS[group]
-    start = time.monotonic()
-    bad: dict[str, list[str]] = {claim: [] for claim in claims}
-    try:
+def _corpus_claims(table: list[_Row], names: tuple[str, ...],
+                   predicate: Callable[[_Row], Iterable]) -> list[ClaimResult]:
+    """One aggregate record per claim of ``names``, in that order, over the
+    ``(claim, instance, holds)`` triples ``predicate`` yields for each row."""
+    def observe():
+        bad: dict[str, list[str]] = {claim: [] for claim in names}
         for row in table:
             for claim, instance, holds in predicate(row):
                 if not holds:
                     bad[claim].append(instance)
-    except BudgetExceeded:
-        return [_over_budget(claim, "corpus", "0 violations", start) for claim in claims]
-    elapsed = time.monotonic() - start
-    return [_aggregate(claim, bad[claim], elapsed) for claim in claims]
+        return ["0 violations" if not b else f"{len(b)} violations: " + ", ".join(b[:5])
+                for b in bad.values()]
+
+    return _records("corpus", dict.fromkeys(names, "0 violations"), observe)
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +377,13 @@ def _group_paths_cycles(table, value) -> list[ClaimResult]:
 
 
 def _group_small_values(table, value) -> list[ClaimResult]:
-    return _corpus_claims("small-values", table)
+    return _corpus_claims(table(), ("small-value/d-one", "small-value/d-two",
+                                    "small-value/s-one", "small-value/s-two"), _small_values)
 
 
 def _group_diameter(table, value) -> list[ClaimResult]:
-    claims = _corpus_claims("diameter", table)
+    claims = _corpus_claims(table(), ("diameter/d-bound", "diameter/s-bound"),
+                            _diameter_bounds)
     p8 = families.path(8)
     claims.append(_timed_claim("diameter/tight-d", "path:8", diameter(p8) - 1,
                                lambda: value(p8)))
@@ -437,14 +404,14 @@ def _group_hamming(table, value) -> list[ClaimResult]:
 
 
 def _group_staller_start(table, value) -> list[ClaimResult]:
-    claims = _corpus_claims("staller-start", table)
+    claims = _corpus_claims(table(), ("staller-start/sandwich",), _staller_start)
     for n in (2, 3, 4):
         claims.extend(check_gadget_family(n, value))
     return claims
 
 
 def _group_skip(table, value) -> list[ClaimResult]:
-    claims = _corpus_claims("skip", table)
+    claims = _corpus_claims(table(), ("skip/d-sandwich", "skip/s-sandwich"), _skip)
     for n in range(3, 9):
         claims.append(_timed_claim(
             "skip/path", f"path:{n}", n - 2,
@@ -461,7 +428,8 @@ def _group_skip(table, value) -> list[ClaimResult]:
 
 
 def _group_pass(table, value) -> list[ClaimResult]:
-    return _corpus_claims("pass", table)
+    return _corpus_claims(table(), ("pass/bound-k1", "pass/bound-k2", "pass/monotone"),
+                          _pass)
 
 
 _LEX_LEFT = ["path:2", "path:3", "path:4", "cycle:4", "cycle:5", "complete:2", "complete:3"]
@@ -494,7 +462,9 @@ def _group_predomination(table, value) -> list[ClaimResult]:
                                lambda: value(p5, Variant.STALLER_START, predominated=mid)))
     claims.append(_timed_claim("predomination/path-stuck-d", "path:5|1,2,3", NEVER,
                                lambda: value(p5, predominated=interior)))
-    return claims + _corpus_claims("predomination", table)
+    return claims + _corpus_claims(table(), ("predomination/cut-vertex",
+                                             "predomination/opening-not-worse"),
+                                   _predomination)
 
 
 def _group_ladders(table, value) -> list[ClaimResult]:
@@ -505,9 +475,11 @@ def _group_ladders(table, value) -> list[ClaimResult]:
 
 
 def _group_oracle(table, value) -> list[ClaimResult]:
-    return _corpus_claims("oracle", table)
+    return _corpus_claims(table(), ("oracle/agreement",), _oracle)
 
 
+#: each group takes ``table()``, the corpus value table built on first
+#: call, and the budgeted ``value`` solver
 GROUPS: dict[str, Callable] = {
     "paths-cycles": _group_paths_cycles,
     "small-values": _group_small_values,
@@ -533,9 +505,8 @@ def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = N
     unknown = [n for n in selected if n not in GROUPS]
     if unknown:
         raise ValueError(f"unknown claim groups: {', '.join(unknown)}")
-    if corpus is None and any(n in _CORPUS_CLAIMS for n in selected):
-        corpus = load_corpus()
-    table = [_Row(g, f"corpus[{i}]", time_budget) for i, g in enumerate(corpus or [])]
+    table = cache(lambda: [_Row(g, f"corpus[{i}]", time_budget) for i, g in
+                           enumerate(load_corpus() if corpus is None else corpus)])
     value = partial(game_value, time_budget=time_budget)
     results = []
     for name in selected:

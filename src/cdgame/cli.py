@@ -349,6 +349,11 @@ def main(argv=None) -> int:
         return 1
     except KeyboardInterrupt:
         return 130
+    except BrokenPipeError:
+        # the reader left (``cdgame scan ... | head``); point stdout at
+        # devnull so the flush at exit does not fail and print again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ lexicographic products), and graph6 reading for corpus files.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -137,20 +137,25 @@ def closed_neighborhood_set(g: Graph, s: int) -> int:
     return out
 
 
+def _bfs_layers(adj: Sequence[int], start: int, within: int) -> Iterator[int]:
+    """Breadth-first layers, as disjoint masks, from the vertex set ``start``
+    (the first layer) through the vertices of ``within``; ``adj[v]`` is the
+    neighbor mask of v."""
+    seen = frontier = start
+    while frontier:
+        yield frontier
+        grow = 0
+        for v in bits(frontier):
+            grow |= adj[v]
+        frontier = grow & within & ~seen
+        seen |= frontier
+
+
 def is_connected_induced(g: Graph, s: int) -> bool:
     """Whether the subgraph induced by the nonempty set ``s`` is connected."""
     if s == 0:
         raise ValueError("connectivity of the empty set is undefined")
-    start = s & -s
-    seen = start
-    frontier = start
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= g.adj[v]
-        frontier = grow & s & ~seen
-        seen |= frontier
-    return seen == s
+    return sum(_bfs_layers(g.adj, s & -s, s)) == s
 
 
 def is_connected(g: Graph) -> bool:
@@ -161,19 +166,10 @@ def diameter(g: Graph) -> int:
     """Largest shortest-path distance; raises on a disconnected graph."""
     best = 0
     for v in range(g.n):
-        seen = 1 << v
-        frontier = seen
-        dist = 0
-        while seen != g.full_mask:
-            grow = 0
-            for u in bits(frontier):
-                grow |= g.adj[u]
-            frontier = grow & ~seen
-            if frontier == 0:
-                raise ValueError("diameter is undefined on a disconnected graph")
-            seen |= frontier
-            dist += 1
-        best = max(best, dist)
+        layers = list(_bfs_layers(g.adj, 1 << v, g.full_mask))
+        if sum(layers) != g.full_mask:
+            raise ValueError("diameter is undefined on a disconnected graph")
+        best = max(best, len(layers) - 1)
     return best
 
 
@@ -257,17 +253,8 @@ def _complement_components(g: Graph) -> list[int]:
     comps = []
     left = g.full_mask
     while left:
-        start = left & -left
-        seen = start
-        frontier = start
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= comp_adj[v]
-            frontier = grow & ~seen
-            seen |= frontier
-        comps.append(seen)
-        left &= ~seen
+        comps.append(sum(_bfs_layers(comp_adj, left & -left, g.full_mask)))
+        left &= ~comps[-1]
     return comps
 
 

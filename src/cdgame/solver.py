@@ -308,23 +308,29 @@ def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     return _last_search.best_action(st.played, reach, st.passes_left)
 
 
-def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None) -> GameValue:
+def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
+                time_budget: float | None = None) -> GameValue:
     """Reference oracle: bare recursive minimax, no memo, no pruning.
 
     Recomputes the dominated set and move legality from their definitions
     at every node; shares nothing with :func:`solve` beyond the graph
     representation.  ``stats``, when given, receives the node count.
+    Raises :class:`BudgetExceeded` once ``time_budget`` seconds have
+    passed, checking the clock every 4096 nodes.
     """
     cfg.validate_for(g)
     n = g.n
     full = g.full_mask
     budget = cfg.pass_budget
     start_dom = cfg.predominated
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
     nodes = 0
 
     def recurse(played: int, passes_used: int) -> GameValue:
         nonlocal nodes
         nodes += 1
+        if not nodes & 4095 and deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded
         dom = start_dom
         for u in range(n):
             if played >> u & 1:

@@ -9,8 +9,8 @@ from cdgame.analysis import (BUDGET, FAIL, PASS, check_gadget_family,
                              check_ladders, check_lexicographic, cut_vertices,
                              load_corpus, predomination_scan, run_suite)
 from cdgame.engine import GameConfig, Variant
-from cdgame.families import (complete, cycle, fan_chain, hat_chain, path,
-                             predomination_penalty_graph, random_tree, star)
+from cdgame.families import (complete, cycle, fan_chain, graph_from_spec, hat_chain,
+                             path, predomination_penalty_graph, random_tree, star)
 from cdgame.graph import bits, parse_graph6
 from cdgame.solver import BudgetExceeded, game_value, solve, solve_naive
 
@@ -233,6 +233,36 @@ def test_corpus_claims_honour_time_budget():
     claims = run_suite(["pass"], corpus=[path(6)], time_budget=1e-9)
     assert [c.verdict for c in claims] == [BUDGET] * 3
     assert all(c.observed == "budget exceeded" for c in claims)
+
+
+def test_budget_records_keep_their_expected_values():
+    # a budget stop keeps each claim's expectation, except that a solved
+    # expectation (the lexicographic cases) is reported as None
+    claims = run_suite(None, corpus=[path(4)], time_budget=1e-9)
+    assert all(c.verdict == BUDGET for c in claims)
+    lex = [c for c in claims if c.claim.startswith("lex/")]
+    assert len(lex) == 2 * 42
+    assert all(c.claim in ("lex/d-case", "lex/s-case") and c.expected is None for c in lex)
+    assert [(c.claim, c.instance, c.expected) for c in claims
+            if c.claim.startswith("gadget/")] == [
+        (f"gadget/{part}", f"gn:{n}", e) for n in (2, 3, 4)
+        for part, e in (("d", n), ("s", 2 * n), ("ratio", True))]
+    assert [(c.claim, c.expected) for c in claims if c.instance == "corpus"] == [
+        (claim, "0 violations") for claim in (
+            "small-value/d-one", "small-value/d-two", "small-value/s-one",
+            "small-value/s-two", "diameter/d-bound", "diameter/s-bound",
+            "staller-start/sandwich", "skip/d-sandwich", "skip/s-sandwich",
+            "pass/bound-k1", "pass/bound-k2", "pass/monotone",
+            "predomination/cut-vertex", "predomination/opening-not-worse",
+            "oracle/agreement")]
+
+
+def test_oracle_sweep_honours_time_budget():
+    # the naive oracle on the 16-vertex grid runs far past any test's patience
+    grid = graph_from_spec("cart:path:4,path:4")
+    claims = run_suite(["oracle"], corpus=[grid], time_budget=0.2)
+    assert [(c.claim, c.verdict, c.observed) for c in claims] == [
+        ("oracle/agreement", BUDGET, "budget exceeded")]
 
 
 def test_claim_records_are_stable():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cdgame
 from cdgame import cli
 from cdgame.families import cycle, predomination_penalty_graph
@@ -295,6 +297,22 @@ def test_scan_streams_finished_records(tmp_path, monkeypatch):
     argv = ["scan", "--corpus", str(corpus), "--output", str(target), "--threads", "1"]
     assert cli.main(argv) == 130
     assert [json.loads(ln)["line"] for ln in target.read_text().splitlines()] == [1, 2]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_into_closed_pipe_exits_quietly(threads):
+    # `cdgame scan ... | head -1`: the reader leaves after one record
+    corpus = ROOT / "src" / "cdgame" / "data" / "graphs7.g6"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cdgame.cli", "scan", "--corpus", str(corpus),
+         "--threads", threads], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=CHILD_ENV)
+    assert json.loads(proc.stdout.readline())["line"] == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_play_engine_opening_and_reprompt():

@@ -179,6 +179,13 @@ def test_budget_exceeded():
         solve(g, GameConfig(VS), time_budget=0.0)
 
 
+def test_naive_oracle_budget_exceeded():
+    # minutes of bare minimax on 16 vertices; the clock stops it early
+    with pytest.raises(BudgetExceeded):
+        solve_naive(graph_from_spec("cart:path:4,path:4"), GameConfig(VD), time_budget=0.05)
+    assert solve_naive(path(4), GameConfig(VD), time_budget=60.0) == 2
+
+
 def test_game_value_lower_bound_on_corpus(corpus):
     for g in corpus:
         assert game_value(g) >= connected_domination_number(g)

@@ -6,8 +6,8 @@ verification harness runs: exact path/cycle/ladder/product values, the
 small-value and diameter characterizations, the Staller-start and
 skip/pass sandwiches over a graph corpus, predomination behavior, and
 the solver-vs-oracle agreement sweep.  The corpus claims are predicates
-over one table of per-graph game values, filled on demand, so a suite
-run solves each value of each corpus graph at most once.
+over one table of per-graph game values, filled on demand a column per
+search, so a suite run solves each value of each corpus graph once.
 
 Every record comes from :func:`_records`: expected values in record
 order against one timed ``observe`` call for the observed ones; a solve
@@ -250,8 +250,10 @@ def predomination_scan(g: Graph, instance: str = "",
 
 @dataclass
 class _Row:
-    """Game values of one corpus graph, solved on first use and cached
-    under the plain tuple ``(variant, k, pre)``."""
+    """Game values of one corpus graph under the plain tuple ``(variant, k,
+    pre)``, ``pre`` empty or one vertex.  The first read of a ``(variant, k)``
+    column solves all n + 1 of it in one :func:`game_values` search; a solve
+    past ``time_budget`` leaves the column unfilled."""
     g: Graph
     name: str
     time_budget: float | None
@@ -261,7 +263,9 @@ class _Row:
               pre: int = 0) -> GameValue:
         key = (variant, k, pre)
         if key not in self.values:
-            self.values[key] = game_value(self.g, variant, k, pre, self.time_budget)
+            column = [0] + [1 << v for v in range(self.g.n)]
+            solved = game_values(self.g, column, variant, k, self.time_budget)
+            self.values.update(((variant, k, p), val) for p, val in zip(column, solved))
         return self.values[key]
 
 
@@ -497,11 +501,12 @@ GROUPS: dict[str, Callable] = {
 
 def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = None,
               time_budget: float = 60.0) -> list[ClaimResult]:
-    """Run named claim groups (all of them by default) and collect results.
+    """Run named claim groups (all of them by default; a repeated name runs
+    once, at its first mention) and collect results.
 
     Every solve runs under ``time_budget``; a claim whose solve runs past
     it is reported as budget-exceeded."""
-    selected = list(names) if names is not None else list(GROUPS)
+    selected = list(dict.fromkeys(names)) if names is not None else list(GROUPS)
     unknown = [n for n in selected if n not in GROUPS]
     if unknown:
         raise ValueError(f"unknown claim groups: {', '.join(unknown)}")

@@ -173,10 +173,6 @@ def diameter(g: Graph) -> int:
     return best
 
 
-def max_degree(g: Graph) -> int:
-    return max(row.bit_count() for row in g.adj)
-
-
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -245,7 +241,7 @@ def is_complete(g: Graph) -> bool:
 
 
 def has_universal_vertex(g: Graph) -> bool:
-    return max_degree(g) == g.n - 1
+    return g.full_mask in g.closed
 
 
 def _complement_components(g: Graph) -> list[int]:

@@ -312,17 +312,20 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
                 time_budget: float | None = None) -> GameValue:
     """Reference oracle: bare recursive minimax, no memo, no pruning.
 
-    Recomputes the dominated set and move legality from their definitions
-    at every node; shares nothing with :func:`solve` beyond the graph
-    representation.  ``stats``, when given, receives the node count.
-    Raises :class:`BudgetExceeded` once ``time_budget`` seconds have
-    passed, checking the clock every 4096 nodes.
+    Rebuilds the dominated set from the played vertices, and tests every
+    unplayed vertex against its own copy of the move rule, at every node;
+    shares nothing with :func:`solve` beyond the graph and ``mover_at``.
+    ``stats``, when given, receives the node count.  Raises
+    :class:`BudgetExceeded` once ``time_budget`` seconds have passed,
+    checking the clock every 4096 nodes.
     """
     cfg.validate_for(g)
-    n = g.n
-    full = g.full_mask
+    adj, closed, full = g.adj, g.closed, g.full_mask
     budget = cfg.pass_budget
     start_dom = cfg.predominated
+    # whether Dominator makes the move that follows `made` moves and passes
+    dominator_next = [mover_at(cfg.variant, made + 1) is Player.DOMINATOR
+                      for made in range(g.n + budget + 1)]
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     nodes = 0
 
@@ -332,27 +335,30 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
         if not nodes & 4095 and deadline is not None and time.monotonic() > deadline:
             raise BudgetExceeded
         dom = start_dom
-        for u in range(n):
-            if played >> u & 1:
-                dom |= g.closed[u]
+        rest = played
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            dom |= closed[low.bit_length() - 1]
         if dom == full:
             return played.bit_count()
+        undom = full & ~dom
         options = []
-        for v in range(n):
-            if played >> v & 1:
-                continue
-            if played and not g.adj[v] & played:
-                continue
-            if g.closed[v] & ~dom:
-                options.append(v)
+        rest = full & ~played
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if (not played or adj[v] & played) and closed[v] & undom:
+                options.append(low)
         if not options:
             return NEVER
-        turn = played.bit_count() + passes_used + 1
-        player = mover_at(cfg.variant, turn)
-        values = [recurse(played | (1 << v), passes_used) for v in options]
-        if player is Player.STALLER and passes_used < budget:
+        if dominator_next[played.bit_count() + passes_used]:
+            return min([recurse(played | low, passes_used) for low in options])
+        values = [recurse(played | low, passes_used) for low in options]
+        if passes_used < budget:
             values.append(recurse(played, passes_used + 1))
-        return min(values) if player is Player.DOMINATOR else max(values)
+        return max(values)
 
     result = recurse(0, 0)
     if stats is not None:

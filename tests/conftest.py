@@ -5,6 +5,11 @@ from cdgame.analysis import load_corpus
 from cdgame.graph import Graph
 
 
+def max_degree(g: Graph) -> int:
+    """Largest vertex degree; the package has no use for it."""
+    return max(row.bit_count() for row in g.adj)
+
+
 @pytest.fixture(scope="session")
 def corpus():
     """The bundled corpus: all 853 connected graphs on 7 vertices."""

@@ -99,26 +99,30 @@ def test_check_skip_and_pass():
 
 
 def test_corpus_values_are_solved_once(monkeypatch):
+    # the table fills one (variant, k) column per search, over the empty
+    # set and then every singleton, so each (variant, k, pre) is solved once
     graphs = [path(4), cycle(5), complete(3)]
     calls = Counter()
-    real = analysis.game_value
+    real = analysis.game_values
 
-    def counting(g, variant=Variant.DOMINATOR_START, pass_budget=0,
-                 predominated=0, time_budget=None):
+    def counting(g, predominated_sets, variant=Variant.DOMINATOR_START,
+                 pass_budget=0, time_budget=None):
+        sets = list(predominated_sets)
         for i, h in enumerate(graphs):
             if g is h:
-                calls[i, variant, pass_budget, predominated] += 1
-        return real(g, variant, pass_budget, predominated, time_budget)
+                assert sets == [0] + [1 << v for v in range(g.n)]
+                calls[i, variant, pass_budget] += 1
+        return real(g, sets, variant, pass_budget, time_budget)
 
-    monkeypatch.setattr(analysis, "game_value", counting)
+    monkeypatch.setattr(analysis, "game_values", counting)
     assert _all_pass(run_suite(corpus=graphs)[-1:])  # the oracle agrees
     assert set(calls.values()) == {1}
-    for i, g in enumerate(graphs):
-        assert sum(key[0] == i for key in calls) == 8 * (g.n + 1)
+    assert set(calls) == {(i, v, k) for i in range(3) for v, k in analysis.ORACLE_CONFIGS}
     calls.clear()
     run_suite(["small-values"], corpus=graphs)
-    assert set(calls) == {(i, v, 0, 0) for i in range(3)
+    assert set(calls) == {(i, v, 0) for i in range(3)
                           for v in (Variant.DOMINATOR_START, Variant.STALLER_START)}
+    assert set(calls.values()) == {1}
 
 
 def test_skip_family_values():

@@ -86,6 +86,14 @@ def test_verify_group_pass():
     assert "4 claims, 0 not passing" in out.stdout
 
 
+def test_verify_repeated_only_group_runs_once(tmp_path, capsys):
+    target = tmp_path / "claims.jsonl"
+    assert cli.main(["verify", "--only", "hamming", "--only", "hamming",
+                     "--output", str(target)]) == 0
+    assert "4 claims, 0 not passing" in capsys.readouterr().out
+    assert len(target.read_text().splitlines()) == 4
+
+
 def test_verify_group_with_known_divergence():
     out = run_cli("verify", "--only", "ladders")
     assert out.returncode == 1

@@ -8,7 +8,9 @@ from cdgame.families import (FamilySpecError, circular_ladder, complete, cycle,
                              hamming, hat_chain, mobius_ladder, path,
                              predomination_penalty_graph, random_tree, star)
 from cdgame.graph import (cartesian_product, diameter, has_universal_vertex,
-                          is_connected, join, lexicographic_product, max_degree)
+                          is_connected, join, lexicographic_product)
+
+from .conftest import max_degree
 
 
 def test_small_families():

@@ -6,10 +6,9 @@ from cdgame.graph import (Graph, bits, cartesian_product,
                           closed_neighborhood_set, complement, diameter,
                           has_universal_vertex, is_complete, is_connected,
                           is_connected_induced, is_join_some_noncomplete,
-                          is_join_two_noncomplete, join, lexicographic_product,
-                          max_degree)
+                          is_join_two_noncomplete, join, lexicographic_product)
 
-from .conftest import arbitrary_graphs, connected_graphs
+from .conftest import arbitrary_graphs, connected_graphs, max_degree
 from .domination import (connected_domination_number, domination_number, mask_of,
                          minimum_connected_dominating_set, minimum_dominating_set)
 
@@ -74,6 +73,12 @@ def test_max_degree():
     assert max_degree(star(6)) == 6
     assert max_degree(cycle(8)) == 2
     assert max_degree(fan_chain(1, 8)) == 7
+
+
+@given(arbitrary_graphs(max_n=7))
+@settings(max_examples=80, deadline=None)
+def test_has_universal_vertex_matches_degree(g):
+    assert has_universal_vertex(g) == (max_degree(g) == g.n - 1)
 
 
 def test_complement():

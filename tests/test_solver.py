@@ -3,7 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdgame import solver
-from cdgame.analysis import predomination_scan
+from cdgame.analysis import oracle_configs_for, predomination_scan
 from cdgame.engine import (PASS, GameConfig, GameState, Player, Status,
                            Variant, apply_move, apply_pass, legal_moves,
                            mover, mover_at, status)
@@ -184,6 +184,38 @@ def test_naive_oracle_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         solve_naive(graph_from_spec("cart:path:4,path:4"), GameConfig(VD), time_budget=0.05)
     assert solve_naive(path(4), GameConfig(VD), time_budget=60.0) == 2
+
+
+# solve_naive's node counts: a faster oracle node must keep them, which
+# shows that it still walks the same unpruned tree
+_NAIVE_GATE = [
+    # spec, variant, pass budget, predominated label, value, nodes
+    ("cl:5", VS, 2, None, 6, 42392),
+    ("fan:2,7", Variant.DOMINATOR_SKIPS_FIRST, 0, None, 5, 3992),
+    ("fig3", VD, 0, "c", 8, 408),
+    ("cl:5", VD, 1, "(2,1)", 5, 11673),
+]
+
+
+@pytest.mark.parametrize("spec, variant, k, pre, value, nodes", _NAIVE_GATE)
+def test_naive_oracle_tree_is_pinned(spec, variant, k, pre, value, nodes):
+    g = predomination_penalty_graph() if spec == "fig3" else graph_from_spec(spec)
+    cfg = GameConfig(variant, k, 0 if pre is None else 1 << g.vertex_by_label(pre))
+    stats = {}
+    assert solve_naive(g, cfg, stats) == value
+    assert stats["nodes"] == nodes
+
+
+def test_naive_oracle_nodes_on_verify_slice(corpus):
+    # every 8th corpus graph, every oracle-sweep config: the benchmark's
+    # verify slice, node for node
+    total = 0
+    for g in corpus[::8]:
+        for cfg in oracle_configs_for(g):
+            stats = {}
+            solve_naive(g, cfg, stats)
+            total += stats["nodes"]
+    assert total == 626088
 
 
 def test_game_value_lower_bound_on_corpus(corpus):

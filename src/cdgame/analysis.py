@@ -5,9 +5,13 @@ passes only on exact match.  The named suite groups the claims the
 verification harness runs: exact path/cycle/ladder/product values, the
 small-value and diameter characterizations, the Staller-start and
 skip/pass sandwiches over a graph corpus, predomination behavior, and
-the solver-vs-oracle agreement sweep.  The corpus claims are predicates
-over one table of per-graph game values, filled on demand a column per
-search, so a suite run solves each value of each corpus graph once.
+the solver-vs-oracle agreement sweep.  Every claim reads its values
+from one table of per-graph rows: a row per corpus graph, and a row per
+family spec (``path:8``, ``lex:cycle:5,complete:2``) for the named
+graphs, keyed by that spec, which is also the instance of its claims
+(followed by ``|`` and vertex labels when a set is predominated).  Rows
+fill on demand a column per search, so a suite run solves each value of
+each graph once.
 
 Every record comes from :func:`_records`: expected values in record
 order against one timed ``observe`` call for the observed ones; a solve
@@ -22,21 +26,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 from importlib import resources
 from typing import Any, Callable, Iterable
 
 from . import families
 from .engine import GameConfig, Variant
 from .graph import (Graph, bits, diameter, has_universal_vertex, is_complete,
-                    is_join_some_noncomplete, is_join_two_noncomplete,
-                    lexicographic_product, read_graph6_file)
-from .solver import (NEVER, BudgetExceeded, GameValue, game_value, game_values,
-                     is_never, solve_naive)
+                    is_join_some_noncomplete, is_join_two_noncomplete, read_graph6_file)
+from .solver import NEVER, BudgetExceeded, GameValue, game_values, is_never, solve_naive
 
 PASS, FAIL, BUDGET = "pass", "fail", "budget-exceeded"
-
-Solver = Callable[..., GameValue]  # game_value, or it with a time budget bound
 
 
 @dataclass
@@ -101,67 +101,44 @@ def load_corpus(path=None) -> list[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# individual checkers
+# the value table
 
-def check_gadget_family(n: int, value: Solver = game_value) -> list[ClaimResult]:
-    """Doubling gadget: d-game n, s-game 2n, the extreme s/d ratio."""
-    g = families.doubling_gadget(n)
+@dataclass
+class _Row:
+    """Game values of one graph, named ``corpus[i]`` or by its family spec,
+    by ``(variant, k)`` column and then predominated set ``pre``.  The
+    first read of a column solves the empty set and every singleton in
+    one :func:`game_values` search, plus ``pre`` when it is a larger set
+    (read after the column is full, such a set is solved alone); a solve
+    past ``time_budget`` leaves the column unfilled."""
+    g: Graph
+    name: str
+    time_budget: float | None
+    columns: dict[tuple[Variant, int], dict[int, GameValue]] = field(default_factory=dict)
 
-    def observe():
-        d, s = value(g), value(g, Variant.STALLER_START)
-        return d, s, s == 2 * d
+    def value(self, variant: Variant = Variant.DOMINATOR_START, k: int = 0,
+              pre: int = 0) -> GameValue:
+        column = self.columns.setdefault((variant, k), {})
+        if pre not in column:
+            sets = [p for p in dict.fromkeys([0, *(1 << v for v in range(self.g.n)), pre])
+                    if p not in column]
+            column.update(zip(sets, game_values(self.g, sets, variant, k, self.time_budget)))
+        return column[pre]
 
-    return _records(f"gn:{n}", {"gadget/d": n, "gadget/s": 2 * n, "gadget/ratio": True},
-                    observe)
-
-
-def check_lexicographic(g: Graph, h: Graph, g_name: str, h_name: str,
-                        value: Solver = game_value) -> list[ClaimResult]:
-    """Exact composition values of g[h] for both starting players, plus the
-    two-sided range bound for the Dominator-start game when it applies.
-    Past the time budget the two case claims are reported with no expected
-    value, since the expectations are solved too."""
-    if g.n * h.n > 20:
-        raise ValueError("direct product solving is limited to 20 vertices")
-    expected: dict[str, Any] = {"lex/d-case": None, "lex/s-case": None}
-
-    def observe():
-        gd = value(g)
-        hd = value(h)
-        g_skip = value(g, Variant.STALLER_SKIPS_FIRST)
-        gs = value(g, Variant.STALLER_START)
-        hs = value(h, Variant.STALLER_START)
-        product = lexicographic_product(g, h)
-        obs_d = value(product)
-        obs_s = value(product, Variant.STALLER_START)
-
-        expected["lex/d-case"] = (hd if g.n == 1 else
-                                  gd if hd == 1 else
-                                  g_skip + 1)
-        expected["lex/s-case"] = (hs if g.n == 1 else
-                                  gs if gs >= 2 else
-                                  2 if hs >= 2 else
-                                  hs)
-        if hd >= 2 and g.n >= 2:
-            expected["lex/d-range"] = True
-            return obs_d, obs_s, gd <= obs_d <= gd + 2
-        return obs_d, obs_s
-
-    return _records(f"lex:{g_name},{h_name}", expected, observe)
+    def per_vertex(self) -> list[GameValue]:
+        """The plain game's values with each single vertex predominated, in
+        vertex order."""
+        self.value()  # fills the column
+        column = self.columns[Variant.DOMINATOR_START, 0]
+        return [column[1 << v] for v in range(self.g.n)]
 
 
-def check_ladders(n: int, value: Solver = game_value) -> list[ClaimResult]:
-    """Circular and Mobius ladder values, plain and with every single
-    vertex predominated (vertex-transitivity is checked, not assumed)."""
-    claims = []
-    for tag, g in (("circular", families.circular_ladder(n)),
-                   ("mobius", families.mobius_ladder(n))):
-        instance = f"{'cl' if tag == 'circular' else 'ml'}:{n}"
-        claims.append(_timed_claim(f"ladder/{tag}", instance, 2 * (n - 2), lambda: value(g)))
-        claims.append(_timed_claim(
-            f"ladder/{tag}-predominated", instance, [2 * (n - 2) - 1] * g.n,
-            lambda: [value(g, predominated=1 << v) for v in range(g.n)]))
-    return claims
+def _value_claim(claim: str, row: _Row, expected, variant: Variant = Variant.DOMINATOR_START,
+                 pre: int = 0) -> ClaimResult:
+    """One claimed value of a named row; the instance is the row's spec,
+    followed by ``|`` and the labels of ``pre`` when a set is predominated."""
+    labels = "|" + ",".join(map(row.g.label, bits(pre))) if pre else ""
+    return _timed_claim(claim, row.name + labels, expected, lambda: row.value(variant, 0, pre))
 
 
 def cut_vertices(g: Graph) -> int:
@@ -197,7 +174,6 @@ def cut_vertices(g: Graph) -> int:
 @dataclass
 class ScanResult:
     """Per-vertex predomination survey of one graph."""
-    instance: str
     value: GameValue
     per_vertex: list[GameValue] = field(default_factory=list)
     never_vertices: list[int] = field(default_factory=list)
@@ -208,7 +184,6 @@ class ScanResult:
 
     def to_record(self) -> dict:
         return {
-            "instance": self.instance,
             "value": _jsonable(self.value),
             "per_vertex": [_jsonable(v) for v in self.per_vertex],
             "never_vertices": self.never_vertices,
@@ -219,8 +194,7 @@ class ScanResult:
         }
 
 
-def predomination_scan(g: Graph, instance: str = "",
-                       time_budget: float | None = None) -> ScanResult:
+def predomination_scan(g: Graph, time_budget: float | None = None) -> ScanResult:
     """Survey the game value with each single vertex predominated.
 
     ``candidate`` flags graphs where every vertex shifts the value and at
@@ -228,10 +202,11 @@ def predomination_scan(g: Graph, instance: str = "",
     question, so they are reported, never asserted to (not) exist.  Stuck
     outcomes are listed separately and excluded from the shift extremes;
     when the base game itself is stuck, no vertex has a shift.  The n+1
-    solves share one search and memo; ``time_budget`` applies to each.
+    solves are one column of a :class:`_Row`, so they share one search and
+    memo; ``time_budget`` applies to each.
     """
-    base, *per_vertex = game_values(g, [0] + [1 << v for v in range(g.n)],
-                                    time_budget=time_budget)
+    row = _Row(g, "", time_budget)
+    base, per_vertex = row.value(), row.per_vertex()
     nevers = [v for v, val in enumerate(per_vertex) if is_never(val)]
     shifts = [] if is_never(base) else [int(val - base) for val in per_vertex
                                         if not is_never(val)]
@@ -239,35 +214,14 @@ def predomination_scan(g: Graph, instance: str = "",
     max_dec = max((-shift for shift in shifts), default=None)
     all_shift = not is_never(base) and all(val != base for val in per_vertex)
     candidate = all_shift and max_inc is not None and max_inc > 0
-    return ScanResult(instance=instance, value=base, per_vertex=per_vertex,
+    return ScanResult(value=base, per_vertex=per_vertex,
                       never_vertices=nevers, max_increase=max_inc,
                       max_decrease=max_dec, all_vertices_shift=all_shift,
                       candidate=candidate)
 
 
 # ---------------------------------------------------------------------------
-# the corpus value table
-
-@dataclass
-class _Row:
-    """Game values of one corpus graph under the plain tuple ``(variant, k,
-    pre)``, ``pre`` empty or one vertex.  The first read of a ``(variant, k)``
-    column solves all n + 1 of it in one :func:`game_values` search; a solve
-    past ``time_budget`` leaves the column unfilled."""
-    g: Graph
-    name: str
-    time_budget: float | None
-    values: dict[tuple[Variant, int, int], GameValue] = field(default_factory=dict)
-
-    def value(self, variant: Variant = Variant.DOMINATOR_START, k: int = 0,
-              pre: int = 0) -> GameValue:
-        key = (variant, k, pre)
-        if key not in self.values:
-            column = [0] + [1 << v for v in range(self.g.n)]
-            solved = game_values(self.g, column, variant, k, self.time_budget)
-            self.values.update(((variant, k, p), val) for p, val in zip(column, solved))
-        return self.values[key]
-
+# the corpus claims
 
 def _small_values(row: _Row):
     """The four exact characterizations of game values 1 and 2."""
@@ -311,8 +265,7 @@ def _pass(row: _Row):
 def _predomination(row: _Row):
     """Predominating a cut vertex never shortens the game, and some vertex
     predominates without lengthening it."""
-    base = row.value()
-    per_vertex = [row.value(pre=1 << v) for v in range(row.g.n)]
+    base, per_vertex = row.value(), row.per_vertex()
     for u in bits(cut_vertices(row.g)):
         yield "predomination/cut-vertex", f"{row.name}|{u}", per_vertex[u] >= base
     yield ("predomination/opening-not-worse", row.name,
@@ -365,73 +318,69 @@ def _corpus_claims(table: list[_Row], names: tuple[str, ...],
 # ---------------------------------------------------------------------------
 # the named suite
 
-def _group_paths_cycles(table, value) -> list[ClaimResult]:
+S, D_SKIP = Variant.STALLER_START, Variant.STALLER_SKIPS_FIRST
+
+
+def _group_paths_cycles(table, named) -> list[ClaimResult]:
     claims = []
     for n in range(3, 11):
-        g = families.path(n)
-        claims.append(_timed_claim("path/d", f"path:{n}", n - 2, lambda: value(g)))
-        claims.append(_timed_claim("path/s", f"path:{n}", n - 1,
-                                   lambda: value(g, Variant.STALLER_START)))
+        row = named(f"path:{n}")
+        claims += [_value_claim("path/d", row, n - 2), _value_claim("path/s", row, n - 1, S)]
     for n in range(4, 9):
-        g = families.cycle(n)
-        claims.append(_timed_claim("cycle/d", f"cycle:{n}", n - 2, lambda: value(g)))
-        claims.append(_timed_claim("cycle/predominated", f"cycle:{n}", [n - 3] * n,
-                                   lambda: [value(g, predominated=1 << v) for v in range(n)]))
+        row = named(f"cycle:{n}")
+        claims.append(_value_claim("cycle/d", row, n - 2))
+        claims.append(_timed_claim("cycle/predominated", row.name, [n - 3] * n, row.per_vertex))
     return claims
 
 
-def _group_small_values(table, value) -> list[ClaimResult]:
+def _group_small_values(table, named) -> list[ClaimResult]:
     return _corpus_claims(table(), ("small-value/d-one", "small-value/d-two",
                                     "small-value/s-one", "small-value/s-two"), _small_values)
 
 
-def _group_diameter(table, value) -> list[ClaimResult]:
+def _group_diameter(table, named) -> list[ClaimResult]:
     claims = _corpus_claims(table(), ("diameter/d-bound", "diameter/s-bound"),
                             _diameter_bounds)
-    p8 = families.path(8)
-    claims.append(_timed_claim("diameter/tight-d", "path:8", diameter(p8) - 1,
-                               lambda: value(p8)))
-    claims.append(_timed_claim("diameter/tight-s", "path:8", diameter(p8),
-                               lambda: value(p8, Variant.STALLER_START)))
-    return claims
+    p8 = named("path:8")
+    dia = diameter(p8.g)
+    return claims + [_value_claim("diameter/tight-d", p8, dia - 1),
+                     _value_claim("diameter/tight-s", p8, dia, S)]
 
 
-def _group_hamming(table, value) -> list[ClaimResult]:
+def _group_hamming(table, named) -> list[ClaimResult]:
     claims = []
-    for dims in ((2, 4), (2, 5)):
-        g = families.hamming(*dims)
-        instance = "hamming:" + ",".join(map(str, dims))
-        claims.append(_timed_claim("hamming/d", instance, 3, lambda: value(g)))
-        claims.append(_timed_claim("hamming/s", instance, 2,
-                                   lambda: value(g, Variant.STALLER_START)))
+    for spec in ("hamming:2,4", "hamming:2,5"):
+        row = named(spec)
+        claims += [_value_claim("hamming/d", row, 3), _value_claim("hamming/s", row, 2, S)]
     return claims
 
 
-def _group_staller_start(table, value) -> list[ClaimResult]:
+def _group_staller_start(table, named) -> list[ClaimResult]:
+    """The corpus sandwich, then the doubling gadget: d-game n, s-game 2n,
+    the extreme s/d ratio."""
     claims = _corpus_claims(table(), ("staller-start/sandwich",), _staller_start)
     for n in (2, 3, 4):
-        claims.extend(check_gadget_family(n, value))
+        row = named(f"gn:{n}")
+
+        def observe():
+            d, s = row.value(), row.value(S)
+            return d, s, s == 2 * d
+
+        claims += _records(row.name, {"gadget/d": n, "gadget/s": 2 * n,
+                                      "gadget/ratio": True}, observe)
     return claims
 
 
-def _group_skip(table, value) -> list[ClaimResult]:
+def _group_skip(table, named) -> list[ClaimResult]:
     claims = _corpus_claims(table(), ("skip/d-sandwich", "skip/s-sandwich"), _skip)
     for n in range(3, 9):
-        claims.append(_timed_claim(
-            "skip/path", f"path:{n}", n - 2,
-            lambda: value(families.path(n), Variant.STALLER_SKIPS_FIRST)))
-    f2 = families.fan_chain(2, 8)
-    claims.append(_timed_claim("fan/d", "fan:2,8", 3, lambda: value(f2)))
-    claims.append(_timed_claim("skip/fan", "fan:2,8", 4,
-                               lambda: value(f2, Variant.STALLER_SKIPS_FIRST)))
-    h1 = families.hat_chain(1)
-    claims.append(_timed_claim("hat/d", "hat:1", 6, lambda: value(h1)))
-    claims.append(_timed_claim("skip/hat", "hat:1", 5,
-                               lambda: value(h1, Variant.STALLER_SKIPS_FIRST)))
-    return claims
+        claims.append(_value_claim("skip/path", named(f"path:{n}"), n - 2, D_SKIP))
+    f2, h1 = named("fan:2,8"), named("hat:1")
+    return claims + [_value_claim("fan/d", f2, 3), _value_claim("skip/fan", f2, 4, D_SKIP),
+                     _value_claim("hat/d", h1, 6), _value_claim("skip/hat", h1, 5, D_SKIP)]
 
 
-def _group_pass(table, value) -> list[ClaimResult]:
+def _group_pass(table, named) -> list[ClaimResult]:
     return _corpus_claims(table(), ("pass/bound-k1", "pass/bound-k2", "pass/monotone"),
                           _pass)
 
@@ -440,50 +389,74 @@ _LEX_LEFT = ["path:2", "path:3", "path:4", "cycle:4", "cycle:5", "complete:2", "
 _LEX_RIGHT = ["complete:1", "complete:2", "complete:3", "path:3", "path:4", "cycle:4"]
 
 
-def _group_lexicographic(table, value) -> list[ClaimResult]:
+def _group_lexicographic(table, named) -> list[ClaimResult]:
+    """Exact composition values of G[H] for both starting players, plus the
+    two-sided range bound for the Dominator-start game when it applies,
+    over the factor pairs with at most 20 vertices.  Past the time budget
+    the two case claims are reported with no expected value, since the
+    expectations are solved too."""
     claims = []
-    rights = [(h_name, families.graph_from_spec(h_name)) for h_name in _LEX_RIGHT]
     for g_name in _LEX_LEFT:
-        g = families.graph_from_spec(g_name)
-        for h_name, h in rights:
-            if g.n * h.n <= 20:
-                claims.extend(check_lexicographic(g, h, g_name, h_name, value))
+        g = named(g_name)
+        trivial = g.g.n == 1
+        for h_name in _LEX_RIGHT:
+            h = named(h_name)
+            if g.g.n * h.g.n > 20:
+                continue
+            product = named(f"lex:{g_name},{h_name}")
+            expected: dict[str, Any] = {"lex/d-case": None, "lex/s-case": None}
+
+            def observe():
+                gd, hd, g_skip = g.value(), h.value(), g.value(D_SKIP)
+                gs, hs = g.value(S), h.value(S)
+                obs_d, obs_s = product.value(), product.value(S)
+                expected["lex/d-case"] = (hd if trivial else
+                                          gd if hd == 1 else
+                                          g_skip + 1)
+                expected["lex/s-case"] = (hs if trivial else
+                                          gs if gs >= 2 else
+                                          2 if hs >= 2 else
+                                          hs)
+                if hd >= 2 and not trivial:
+                    expected["lex/d-range"] = True
+                    return obs_d, obs_s, gd <= obs_d <= gd + 2
+                return obs_d, obs_s
+
+            claims += _records(product.name, expected, observe)
     return claims
 
 
-def _group_predomination(table, value) -> list[ClaimResult]:
-    fig = families.predomination_penalty_graph()
-    c = 1 << fig.vertex_by_label("c")
-    claims = [
-        _timed_claim("predomination/penalty-base", "fig3", 7, lambda: value(fig)),
-        _timed_claim("predomination/penalty-shifted", "fig3|c", 8,
-                     lambda: value(fig, predominated=c)),
-    ]
-    p5 = families.path(5)
-    mid = 1 << 2
-    interior = 0b01110
-    claims.append(_timed_claim("predomination/path-stuck-s", "path:5|2", NEVER,
-                               lambda: value(p5, Variant.STALLER_START, predominated=mid)))
-    claims.append(_timed_claim("predomination/path-stuck-d", "path:5|1,2,3", NEVER,
-                               lambda: value(p5, predominated=interior)))
-    return claims + _corpus_claims(table(), ("predomination/cut-vertex",
-                                             "predomination/opening-not-worse"),
-                                   _predomination)
+def _group_predomination(table, named) -> list[ClaimResult]:
+    fig, p5 = named("fig3"), named("path:5")
+    c = 1 << fig.g.vertex_by_label("c")
+    return [
+        _value_claim("predomination/penalty-base", fig, 7),
+        _value_claim("predomination/penalty-shifted", fig, 8, pre=c),
+        _value_claim("predomination/path-stuck-s", p5, NEVER, S, pre=1 << 2),
+        _value_claim("predomination/path-stuck-d", p5, NEVER, pre=0b01110),
+    ] + _corpus_claims(table(), ("predomination/cut-vertex",
+                                 "predomination/opening-not-worse"), _predomination)
 
 
-def _group_ladders(table, value) -> list[ClaimResult]:
+def _group_ladders(table, named) -> list[ClaimResult]:
+    """Circular and Mobius ladder values, plain and with every single
+    vertex predominated (vertex-transitivity is checked, not assumed)."""
     claims = []
     for n in (4, 5, 6, 7):
-        claims.extend(check_ladders(n, value))
+        for tag, spec in (("circular", f"cl:{n}"), ("mobius", f"ml:{n}")):
+            row = named(spec)
+            claims.append(_value_claim(f"ladder/{tag}", row, 2 * (n - 2)))
+            claims.append(_timed_claim(f"ladder/{tag}-predominated", row.name,
+                                       [2 * (n - 2) - 1] * row.g.n, row.per_vertex))
     return claims
 
 
-def _group_oracle(table, value) -> list[ClaimResult]:
+def _group_oracle(table, named) -> list[ClaimResult]:
     return _corpus_claims(table(), ("oracle/agreement",), _oracle)
 
 
-#: each group takes ``table()``, the corpus value table built on first
-#: call, and the budgeted ``value`` solver
+#: each group takes ``table()``, the corpus rows built on first call, and
+#: ``named(spec)``, the row of a family spec built on its first call
 GROUPS: dict[str, Callable] = {
     "paths-cycles": _group_paths_cycles,
     "small-values": _group_small_values,
@@ -512,8 +485,8 @@ def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = N
         raise ValueError(f"unknown claim groups: {', '.join(unknown)}")
     table = cache(lambda: [_Row(g, f"corpus[{i}]", time_budget) for i, g in
                            enumerate(load_corpus() if corpus is None else corpus)])
-    value = partial(game_value, time_budget=time_budget)
+    named = cache(lambda spec: _Row(families.graph_from_spec(spec), spec, time_budget))
     results = []
     for name in selected:
-        results.extend(GROUPS[name](table, value))
+        results.extend(GROUPS[name](table, named))
     return results

@@ -172,13 +172,11 @@ def _scan_one(job):
     index, line, time_budget = job
     g = parse_graph6(line)
     try:
-        result = analysis.predomination_scan(g, instance=f"line{index}",
-                                             time_budget=time_budget)
+        result = analysis.predomination_scan(g, time_budget=time_budget)
     except BudgetExceeded:
         return {"line": index, "graph6": line, "verdict": "budget-exceeded"}
     record = {"line": index, "graph6": line}
     record.update(result.to_record())
-    del record["instance"]
     return record
 
 

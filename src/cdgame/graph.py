@@ -7,8 +7,8 @@ count ``n``, per-vertex adjacency masks, and optional display labels.
 
 Also provides the classical invariants the game analysis needs
 (connectivity, diameter, join splits), the graph constructions
-used to build test instances (complement, join, Cartesian and
-lexicographic products), and graph6 reading for corpus files.
+used to build test instances (join, Cartesian and lexicographic
+products), and graph6 reading for corpus files.
 """
 
 from __future__ import annotations
@@ -80,14 +80,8 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows, labels)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -175,11 +169,6 @@ def diameter(g: Graph) -> int:
 
 # ---------------------------------------------------------------------------
 # constructions
-
-def complement(g: Graph) -> Graph:
-    full = g.full_mask
-    return Graph(g.n, (full & ~g.adj[v] & ~(1 << v) for v in range(g.n)), g.labels)
-
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus every cross edge; g's vertices first."""

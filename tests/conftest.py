@@ -2,12 +2,24 @@ import pytest
 from hypothesis import strategies as st
 
 from cdgame.analysis import load_corpus
-from cdgame.graph import Graph
+from cdgame.graph import Graph, bits
 
+
+# graph helpers the package itself has no use for
 
 def max_degree(g: Graph) -> int:
-    """Largest vertex degree; the package has no use for it."""
+    """Largest vertex degree."""
     return max(row.bit_count() for row in g.adj)
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """Every edge once, as (u, v) with u < v, in order."""
+    return [(u, v) for u in range(g.n) for v in bits(g.adj[u]) if u < v]
+
+
+def complement(g: Graph) -> Graph:
+    full = g.full_mask
+    return Graph(g.n, (full & ~g.adj[v] & ~(1 << v) for v in range(g.n)), g.labels)
 
 
 @pytest.fixture(scope="session")

@@ -24,11 +24,11 @@ from cdgame.engine import GameConfig, Variant
 from cdgame.families import (circular_ladder, complete, cycle,
                              doubling_gadget, fan_chain, hamming, hat_chain,
                              mobius_ladder, path, predomination_penalty_graph)
-from cdgame.graph import (Graph, bits, complement, diameter,
-                          has_universal_vertex, is_join_some_noncomplete,
-                          is_join_two_noncomplete, join)
+from cdgame.graph import (Graph, bits, diameter, has_universal_vertex,
+                          is_join_some_noncomplete, is_join_two_noncomplete, join)
 from cdgame.solver import NEVER, game_value, solve, solve_naive
 
+from .conftest import complement
 from .graph6 import emit_graph6
 
 VD, VS = Variant.DOMINATOR_START, Variant.STALLER_START

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from cdgame import analysis
-from cdgame.analysis import (BUDGET, FAIL, PASS, check_gadget_family,
-                             check_ladders, check_lexicographic, cut_vertices,
-                             load_corpus, predomination_scan, run_suite)
+from cdgame.analysis import (BUDGET, FAIL, PASS, cut_vertices, load_corpus,
+                             predomination_scan, run_suite)
 from cdgame.engine import GameConfig, Variant
 from cdgame.families import (complete, cycle, fan_chain, graph_from_spec, hat_chain,
                              path, predomination_penalty_graph, random_tree, star)
 from cdgame.graph import bits, parse_graph6
-from cdgame.solver import BudgetExceeded, game_value, solve, solve_naive
+from cdgame.solver import NEVER, BudgetExceeded, game_value, solve, solve_naive
 
 from .conftest import arbitrary_graphs
 from .domination import connected_domination_number, mask_of
@@ -38,30 +37,32 @@ def test_diameter_bounds_on_named_graphs():
 
 
 def test_gadget_family_claims():
-    for n in (2, 3, 4):
-        claims = check_gadget_family(n)
-        assert len(claims) == 3 and _all_pass(claims)
+    claims = [c for c in run_suite(["staller-start"], corpus=[])
+              if c.claim.startswith("gadget/")]
+    assert [(c.claim, c.instance, c.observed) for c in claims] == [
+        (f"gadget/{part}", f"gn:{n}", value) for n in (2, 3, 4)
+        for part, value in (("d", n), ("s", 2 * n), ("ratio", True))]
+    assert _all_pass(claims)
 
 
 def test_lexicographic_cases():
-    c1 = check_lexicographic(path(3), path(4), "path:3", "path:4")
-    assert [c for c in c1 if c.claim == "lex/d-case"][0].expected == 2
-    c2 = check_lexicographic(cycle(5), complete(2), "cycle:5", "complete:2")
-    assert [c for c in c2 if c.claim == "lex/d-case"][0].expected == 3
-    c3 = check_lexicographic(complete(2), path(4), "complete:2", "path:4")
-    assert [c for c in c3 if c.claim == "lex/s-case"][0].expected == 2
-    assert _all_pass(c1 + c2 + c3)
-    with pytest.raises(ValueError):
-        check_lexicographic(complete(5), complete(5), "a", "b")
+    claims = {(c.claim, c.instance): c for c in run_suite(["lexicographic"])}
+    c1 = claims["lex/d-case", "lex:path:3,path:4"]
+    c2 = claims["lex/d-case", "lex:cycle:5,complete:2"]
+    c3 = claims["lex/s-case", "lex:complete:2,path:4"]
+    assert (c1.expected, c2.expected, c3.expected) == (2, 3, 2)
+    assert _all_pass(c for c in claims.values() if c.instance in (
+        "lex:path:3,path:4", "lex:cycle:5,complete:2", "lex:complete:2,path:4"))
 
 
 def test_ladder_claims_match_search_not_formula():
-    ok = check_ladders(4) + check_ladders(5)
-    assert _all_pass(ok)
+    claims = run_suite(["ladders"])
+    ok = [c for c in claims if c.instance[-1] in "45"]
+    assert len(ok) == 8 and _all_pass(ok)
     # For n >= 6 the predominated formula value is one above what exhaustive
     # search finds; the claims must report that honestly.
-    diverging = [c for c in check_ladders(6) + check_ladders(7)
-                 if c.claim.endswith("predominated")]
+    diverging = [c for c in claims
+                 if c.instance[-1] in "67" and c.claim.endswith("predominated")]
     assert len(diverging) == 4
     for c in diverging:
         assert c.verdict == FAIL
@@ -125,6 +126,63 @@ def test_corpus_values_are_solved_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_named_values_are_solved_once(monkeypatch):
+    # a named graph's row is shared by every group that reads its spec,
+    # and each of its (variant, k) columns is one search
+    calls = Counter()
+    real = analysis.game_values
+
+    def counting(g, predominated_sets, variant=Variant.DOMINATOR_START,
+                 pass_budget=0, time_budget=None):
+        sets = list(predominated_sets)
+        assert sets == [0] + [1 << v for v in range(g.n)]
+        calls[g, variant, pass_budget] += 1
+        return real(g, sets, variant, pass_budget, time_budget)
+
+    monkeypatch.setattr(analysis, "game_values", counting)
+    claims = run_suite(["paths-cycles", "ladders", "diameter"], corpus=[])
+    specs = {c.instance for c in claims if c.instance != "corpus"}
+    assert "path:8" in specs and {"diameter/tight-d", "path/d"} <= {
+        c.claim for c in claims if c.instance == "path:8"}
+    assert set(calls.values()) == {1}
+    assert calls[path(8), Variant.DOMINATOR_START, 0] == 1
+    assert {g for g, _, _ in calls} == {graph_from_spec(spec) for spec in specs}
+
+
+def test_named_row_adds_a_larger_set_to_its_column(monkeypatch):
+    row = analysis._Row(graph_from_spec("path:5"), "path:5", None)
+    searched = []
+    real = analysis.game_values
+
+    def recording(g, predominated_sets, *args):
+        searched.append(list(predominated_sets))
+        return real(g, searched[-1], *args)
+
+    monkeypatch.setattr(analysis, "game_values", recording)
+    interior = 0b01110
+    assert row.value(pre=interior) == solve_naive(row.g, GameConfig(predominated=interior))
+    assert row.value(pre=interior) == NEVER
+    assert row.per_vertex() == [2, 3, 3, 3, 2]
+    assert searched == [[0, 1, 2, 4, 8, 16, interior]]
+    # read once the column is full, a larger set is solved alone
+    assert row.value(pre=0b00011) == solve_naive(row.g, GameConfig(predominated=0b00011)) == 1
+    assert searched[1:] == [[0b00011]]
+
+
+def test_named_instances_are_family_specs():
+    labelled = []
+    for c in run_suite(corpus=[]):
+        if c.instance != "corpus":
+            spec, _, labels = c.instance.partition("|")
+            g = graph_from_spec(spec)
+            if labels:
+                labelled.append(c.instance)
+                # vertex_by_label raises KeyError for a label g does not have
+                assert len({g.vertex_by_label(label) for label in labels.split(",")}) == \
+                    len(labels.split(","))
+    assert labelled == ["fig3|c", "path:5|2", "path:5|1,2,3"]
+
+
 def test_skip_family_values():
     f2 = fan_chain(2, 8)
     assert game_value(f2) == 3
@@ -135,7 +193,7 @@ def test_skip_family_values():
 
 
 def test_predomination_scan_cycle():
-    scan = predomination_scan(cycle(6), "cycle:6")
+    scan = predomination_scan(cycle(6))
     assert scan.value == 4
     assert scan.per_vertex == [3] * 6
     assert scan.all_vertices_shift and not scan.candidate
@@ -145,7 +203,7 @@ def test_predomination_scan_cycle():
 
 def test_predomination_scan_penalty_graph():
     fig = predomination_penalty_graph()
-    scan = predomination_scan(fig, "fig3")
+    scan = predomination_scan(fig)
     assert scan.value == 7
     # per-vertex values cross-checked against the naive oracle
     assert scan.per_vertex == [6, 8, 8, 8, 7, 7, 7, 7, 7, 7, 7]
@@ -183,7 +241,7 @@ def test_predomination_scan_honours_time_budget():
 
 
 def test_predomination_scan_reports_never_distinctly():
-    scan = predomination_scan(path(5), "path:5")
+    scan = predomination_scan(path(5))
     # interior predomination keeps the d-game finishable on paths
     assert scan.never_vertices == []
     assert scan.per_vertex == [2, 3, 3, 3, 2]
@@ -196,13 +254,13 @@ def test_tree_predomination_property():
         base = connected_domination_number(t)
         assert game_value(t) == base
         for v in range(t.n):
-            if t.degree(v) > 1:
+            if t.adj[v].bit_count() > 1:
                 assert game_value(t, predominated=1 << v) == base, (seed, v)
 
 
 def test_cycles_scan_range():
     for n in range(4, 9):
-        scan = predomination_scan(cycle(n), f"cycle:{n}")
+        scan = predomination_scan(cycle(n))
         assert scan.per_vertex == [n - 3] * n
 
 

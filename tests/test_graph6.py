@@ -6,14 +6,14 @@ from hypothesis import given
 
 from cdgame.graph import Graph, parse_graph6
 
-from .conftest import arbitrary_graphs
+from .conftest import arbitrary_graphs, edges
 from .graph6 import emit_graph6
 
 
 def test_hand_decoded_k2():
     # 'A' = size 2, '_' = 95-63 = 0b100000: single upper-triangle bit set
     g = parse_graph6("A_")
-    assert g.n == 2 and g.edges() == [(0, 1)]
+    assert g.n == 2 and edges(g) == [(0, 1)]
     assert emit_graph6(g) == "A_"
 
 

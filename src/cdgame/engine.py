@@ -111,19 +111,12 @@ def playable(g: Graph, reach: int, dom: int) -> int:
 
     The mask ``(reach if reach else full) & N[V - dom]`` of the legal
     picks, where ``reach`` is N[played] and ``dom`` the dominated set.
-    N[V - dom], the OR of ``closed[w]`` over undominated w, holds the picks
-    that dominate something new.  ``reach`` is empty only at the opening,
-    which may pick any vertex.  No played p is in N[V - dom], because
+    N[V - dom], from the :func:`closed_neighborhood_set` kernel, holds the
+    picks that dominate something new.  ``reach`` is empty only at the
+    opening, which may pick any vertex.  No played p is in N[V - dom], as
     ``closed[p] <= reach <= dom``, so the rule needs no ``played``.
     """
-    closed = g.closed
-    undom = g.full_mask & ~dom
-    useful = 0
-    while undom:
-        low = undom & -undom
-        undom ^= low
-        useful |= closed[low.bit_length() - 1]
-    return (reach if reach else g.full_mask) & useful
+    return (reach if reach else g.full_mask) & closed_neighborhood_set(g, g.full_mask & ~dom)
 
 
 def legal_moves(g: Graph, cfg: GameConfig, st: GameState) -> int:

@@ -5,6 +5,9 @@ vertex v is in the set), so set algebra is machine-word arithmetic and a
 solver memo key is a tuple of ints.  A ``Graph`` is immutable: vertex
 count ``n``, per-vertex adjacency masks, and optional display labels.
 
+N[S] is read from tables a graph builds on first use: N[S] for every
+subset S of each 8-vertex chunk, so a union costs one lookup per chunk.
+
 Also provides the classical invariants the game analysis needs
 (connectivity, diameter, join splits), the graph constructions
 used to build test instances (join, Cartesian and lexicographic
@@ -41,7 +44,7 @@ class Graph:
     symmetric and loop-free on construction.
     """
 
-    __slots__ = ("n", "adj", "closed", "full_mask", "labels")
+    __slots__ = ("n", "adj", "closed", "full_mask", "labels", "_union_tables")
 
     def __init__(self, n: int, adj: Iterable[int], labels: Iterable[str] | None = None):
         check_vertex_count(n)
@@ -66,6 +69,7 @@ class Graph:
             if len(labels) != n:
                 raise ValueError("labels must cover every vertex")
         self.labels = labels
+        self._union_tables = None  # built by closed_neighborhood_set
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -124,11 +128,26 @@ class Graph:
 # neighborhoods and basic invariants
 
 def closed_neighborhood_set(g: Graph, s: int) -> int:
-    """N[S] = union of N[v] over v in S; N[empty] is empty."""
+    """N[S] = union of N[v] over v in S; N[empty] is empty.  One table
+    lookup per 8-vertex chunk of the graph."""
     out = 0
-    for v in bits(s):
-        out |= g.closed[v]
+    for table in g._union_tables or _build_union_tables(g):
+        out |= table[s & 255]
+        s >>= 8
     return out
+
+
+def _build_union_tables(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Per chunk of vertices 8c .. 8c + 7, N[S] for each subset S, indexed by
+    S >> 8c; vertex v doubles the table as ``t[s | bit] = t[s] | closed[v]``."""
+    tables = []
+    for base in range(0, g.n, 8):
+        table = [0]
+        for row in g.closed[base:base + 8]:
+            table += [union | row for union in table]
+        tables.append(tuple(table))
+    g._union_tables = tuple(tables)
+    return g._union_tables
 
 
 def _bfs_layers(adj: Sequence[int], start: int, within: int) -> Iterator[int]:

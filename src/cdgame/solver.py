@@ -7,9 +7,9 @@ finite count and one comparison drives both players' choices.
 
 The search walks one position ``(played, reach, passes_left)``, where
 ``reach`` is N[played]: the dominated set ``dom`` is ``reach`` plus the
-predominated set, the moves are the bits of the mask
-:func:`engine.playable` makes of the two, and the mover follows from the
-turn index ``t = |played| + passes consumed + 1``.  The memo is a
+predominated set, the moves are the bits of :func:`engine.playable` of
+the two, and the mover at turn ``t = |played| + passes consumed + 1`` is
+read from a ``mover_at`` table each search builds once.  The memo is a
 transposition table: it stores bounds ``(lo, hi)`` on the number of
 vertex moves still to come, keyed on what decides them,
 
@@ -105,6 +105,9 @@ class _Search:
         cfg.validate_for(g)
         self.g = g
         self.cfg = cfg
+        # dominator_at[t - 1]: whether Dominator makes the t-th move
+        self.dominator_at = [mover_at(cfg.variant, t) is Player.DOMINATOR
+                             for t in range(1, g.n + cfg.pass_budget + 2)]
         self.memo: dict[tuple[int, int, int, int], GameValue] = {}
         self.expanded = 0
         self.hits = 0
@@ -154,7 +157,7 @@ class _Search:
         if self.deadline is not None and self.expanded % 4096 == 1:
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded
-        dominator = mover_at(self.cfg.variant, turn) is Player.DOMINATOR
+        dominator = self.dominator_at[turn - 1]
         closed = g.closed
         # Dominator tries the moves that newly dominate the most first,
         # Staller the fewest; each packed as rank << 6 | v, so ties go to

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import strategies as st
 
 from cdgame.analysis import load_corpus
-from cdgame.graph import Graph, bits
+from cdgame.graph import MAX_VERTICES, Graph, bits
 
 
 # graph helpers the package itself has no use for
@@ -15,6 +15,15 @@ def max_degree(g: Graph) -> int:
 def edges(g: Graph) -> list[tuple[int, int]]:
     """Every edge once, as (u, v) with u < v, in order."""
     return [(u, v) for u in range(g.n) for v in bits(g.adj[u]) if u < v]
+
+
+def closed_union(g: Graph, s: int) -> int:
+    """N[S] as a plain OR of ``closed[v]`` over v in S: the reference the
+    table-driven ``closed_neighborhood_set`` is checked against."""
+    out = 0
+    for v in bits(s):
+        out |= g.closed[v]
+    return out
 
 
 def complement(g: Graph) -> Graph:
@@ -51,3 +60,23 @@ def arbitrary_graphs(draw, min_n=1, max_n=7):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     picks = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))) if pairs else []
     return Graph.from_edges(n, sorted(set(picks)))
+
+
+#: vertex counts at the edges of the 8-vertex chunks N[S] is looked up by
+CHUNK_EDGES = (7, 8, 9, 16, 63, 64)
+
+
+@st.composite
+def wide_graphs(draw, n=None):
+    """Random simple graph on ``n`` vertices, or on 1..64 when ``n`` is
+    None, with at most three edges per vertex drawn."""
+    if n is None:
+        n = draw(st.integers(1, MAX_VERTICES))
+    ends = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=3 * n))
+    return Graph.from_edges(n, sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b}))
+
+
+def vertex_sets(g: Graph):
+    """Any subset of g's vertices, the empty and the full set included."""
+    return st.one_of(st.just(0), st.just(g.full_mask), st.integers(0, g.full_mask))

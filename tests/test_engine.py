@@ -9,7 +9,8 @@ from cdgame.engine import (GameConfig, GameState, Player, Status,
 from cdgame.families import complete, cycle, path
 from cdgame.graph import Graph, bits, closed_neighborhood_set, is_connected_induced
 
-from .conftest import arbitrary_graphs, connected_graphs
+from .conftest import (CHUNK_EDGES, arbitrary_graphs, closed_union, connected_graphs,
+                       vertex_sets, wide_graphs)
 from .domination import mask_of
 
 D, S = Player.DOMINATOR, Player.STALLER
@@ -65,6 +66,19 @@ def test_playable_matches_definition(g, played_bits, pre_bits):
                        and (played == 0 or g.adj[v] & played)
                        and g.closed[v] & ~dom)
     assert playable(g, reach, dom) == expected
+
+
+@pytest.mark.parametrize("n", (None,) + CHUNK_EDGES)
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_playable_is_its_docstring_formula(n, data):
+    # (reach if reach else full) & N[V - dom], N[.] by a per-vertex OR, on
+    # graphs across the chunk edges of the N[S] tables
+    g = data.draw(wide_graphs(n))
+    reach = closed_union(g, data.draw(vertex_sets(g)))
+    dom = reach | data.draw(vertex_sets(g))
+    full = g.full_mask
+    assert playable(g, reach, dom) == (reach if reach else full) & closed_union(g, full & ~dom)
 
 
 def test_legal_moves_opening():

@@ -1,16 +1,20 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdgame.families import complete, cycle, fan_chain, path, star
 from cdgame.graph import (Graph, bits, cartesian_product,
                           closed_neighborhood_set, diameter,
                           has_universal_vertex, is_complete, is_connected,
                           is_connected_induced, is_join_some_noncomplete,
-                          is_join_two_noncomplete, join, lexicographic_product)
+                          is_join_two_noncomplete, join, lexicographic_product,
+                          parse_graph6, read_graph6_file)
 
-from .conftest import arbitrary_graphs, complement, connected_graphs, edges, max_degree
+from .conftest import (CHUNK_EDGES, arbitrary_graphs, closed_union, complement,
+                       connected_graphs, edges, max_degree, vertex_sets, wide_graphs)
 from .domination import (connected_domination_number, domination_number, mask_of,
                          minimum_connected_dominating_set, minimum_dominating_set)
+from .graph6 import emit_graph6
 
 
 def test_construction_rejects_bad_graphs():
@@ -48,6 +52,30 @@ def test_closed_neighborhood_set():
     assert closed_neighborhood_set(p5, 1 << 2) == 0b01110
     assert closed_neighborhood_set(p5, mask_of((1, 3))) == p5.full_mask
     assert closed_neighborhood_set(p5, 0) == 0
+
+
+@pytest.mark.parametrize("n", (None,) + CHUNK_EDGES)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_closed_neighborhood_set_matches_per_vertex_or(n, data):
+    g = data.draw(wide_graphs(n))
+    for s in [0, g.full_mask] + data.draw(st.lists(vertex_sets(g), min_size=1, max_size=6)):
+        assert closed_neighborhood_set(g, s) == closed_union(g, s)
+
+
+def test_union_tables_are_built_on_first_use(tmp_path):
+    # building or parsing a graph leaves its N[S] tables unbuilt, so
+    # set-up that never searches a graph pays nothing for them
+    corpus = tmp_path / "two.g6"
+    corpus.write_text(emit_graph6(path(9)) + "\n" + emit_graph6(cycle(62)) + "\n")
+    built = [path(9), Graph(2, [0b10, 0b01]), cartesian_product(path(8), path(8)),
+             parse_graph6(emit_graph6(star(8)))] + read_graph6_file(corpus)
+    for g in built:
+        assert g._union_tables is None
+    g = built[0]
+    assert closed_neighborhood_set(g, 1 << 8) == 0b110000000
+    # a table per chunk, 2^k entries for a last chunk of k vertices
+    assert [len(t) for t in g._union_tables] == [256, 2]
 
 
 def test_is_connected_induced():

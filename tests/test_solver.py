@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from cdgame import solver
 from cdgame.analysis import oracle_configs_for, predomination_scan
-from cdgame.engine import (PASS, GameConfig, GameState, Player, Status,
-                           Variant, apply_move, apply_pass, legal_moves,
+from cdgame.engine import (PASS, PASS_VARIANTS, GameConfig, GameState, Player,
+                           Status, Variant, apply_move, apply_pass, legal_moves,
                            mover, mover_at, status)
 from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
                              graph_from_spec, path, predomination_penalty_graph)
@@ -171,6 +171,34 @@ def test_solve_output_is_pinned(spec, variant, k, pre, value, states, hits, line
     assert (report.states_expanded, report.memo_hits) == (states, hits)
     assert " ".join(f"{who.value}:{a if a == PASS else g.label(a)}"
                     for who, a in report.principal_line) == line
+
+
+# value, states expanded, memo hits and memo entries of three deep `d`
+# solves; about a minute of search, so only `pytest -m slow` runs them
+_DEEP_LADDER = [
+    ("cart:path:6,path:6", 21, 206439, 600134, 144989),
+    ("cart:cycle:6,cycle:6", 19, 1055066, 3579461, 711998),
+    ("cart:path:7,path:6", 25, 1939859, 7145637, 1330722),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec, value, states, hits, entries", _DEEP_LADDER)
+def test_deep_ladder_is_pinned(spec, value, states, hits, entries):
+    report = solve(graph_from_spec(spec), GameConfig(VD))
+    assert report.value == value
+    assert (report.states_expanded, report.memo_hits, report.memo_entries) == (
+        states, hits, entries)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_mover_table_matches_mover_at(variant):
+    # every turn from 1 to n + k + 1, for every pass budget the variant allows
+    for g in (complete(1), path(5)):
+        for k in range(3 if variant in PASS_VARIANTS else 1):
+            table = solver._Search(g, GameConfig(variant, k)).dominator_at
+            assert table == [mover_at(variant, t) is Player.DOMINATOR
+                             for t in range(1, g.n + k + 2)]
 
 
 def test_budget_exceeded():

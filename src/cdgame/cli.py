@@ -147,6 +147,8 @@ def cmd_verify(args) -> int:
                     if not is_connected(g):  # the game is defined on connected graphs
                         raise CliError(f"{args.corpus}:{lineno}: graph is disconnected")
                     corpus.append(g)
+                if not corpus:
+                    raise CliError(f"{args.corpus}: no graphs found")
             out = _open_output(stack, args.output) if args.output else None
             results = analysis.run_suite(names, corpus=corpus, time_budget=budget)
         except ValueError as exc:

@@ -84,9 +84,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows, labels)
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.adj) // 2
-
     def label(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
 
@@ -121,7 +118,7 @@ class Graph:
         return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self.edge_count()})"
+        return f"Graph(n={self.n}, m={sum(row.bit_count() for row in self.adj) // 2})"
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,8 @@ new one only for another graph (labels aside) or config, so the replies
 of a game share one memo; its memory lives until such a call.
 
 ``solve`` is the production path; ``solve_naive`` is a deliberately
-plain recursion with no memo and no shared move-generation code, used to
-cross-check ``solve`` on small instances.
+plain recursion with its own copy of the move rule, no memo and no
+pruning, used to cross-check ``solve`` on small instances.
 """
 
 from __future__ import annotations
@@ -315,55 +315,55 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
                 time_budget: float | None = None) -> GameValue:
     """Reference oracle: bare recursive minimax, no memo, no pruning.
 
-    Rebuilds the dominated set from the played vertices, and tests every
-    unplayed vertex against its own copy of the move rule, at every node;
-    shares nothing with :func:`solve` beyond the graph and ``mover_at``.
-    ``stats``, when given, receives the node count.  Raises
-    :class:`BudgetExceeded` once ``time_budget`` seconds have passed,
-    checking the clock every 4096 nodes.
+    Tests every unplayed vertex against its own copy of the move rule,
+    carries the dominated set down, and counts and scores a move that
+    dominates all that is left in place; shares nothing with :func:`solve`
+    beyond the graph and ``mover_at``.  ``stats``, when given, receives
+    the node count.  Raises :class:`BudgetExceeded` once ``time_budget``
+    seconds have passed, checking the clock once per 4096 nodes.
     """
     cfg.validate_for(g)
     adj, closed, full = g.adj, g.closed, g.full_mask
     budget = cfg.pass_budget
-    start_dom = cfg.predominated
     # whether Dominator makes the move that follows `made` moves and passes
     dominator_next = [mover_at(cfg.variant, made + 1) is Player.DOMINATOR
                       for made in range(g.n + budget + 1)]
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     nodes = 0
+    check_at = 4096
 
-    def recurse(played: int, passes_used: int) -> GameValue:
-        nonlocal nodes
+    def recurse(played: int, dom: int, moves: int, passes_used: int) -> GameValue:
+        nonlocal nodes, check_at
         nodes += 1
-        if not nodes & 4095 and deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded
-        dom = start_dom
-        rest = played
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            dom |= closed[low.bit_length() - 1]
-        if dom == full:
-            return played.bit_count()
+        if nodes >= check_at:
+            check_at += 4096
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded
         undom = full & ~dom
-        options = []
+        if not undom:
+            return moves
+        values = []
         rest = full & ~played
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if (not played or adj[v] & played) and closed[v] & undom:
-                options.append(low)
-        if not options:
+            new = closed[v] & undom
+            if new and (not played or adj[v] & played):
+                if new == undom:
+                    nodes += 1
+                    values.append(moves + 1)
+                else:
+                    values.append(recurse(played | low, dom | new, moves + 1, passes_used))
+        if not values:
             return NEVER
-        if dominator_next[played.bit_count() + passes_used]:
-            return min([recurse(played | low, passes_used) for low in options])
-        values = [recurse(played | low, passes_used) for low in options]
+        if dominator_next[moves + passes_used]:
+            return min(values)
         if passes_used < budget:
-            values.append(recurse(played, passes_used + 1))
+            values.append(recurse(played, dom, moves, passes_used + 1))
         return max(values)
 
-    result = recurse(0, 0)
+    result = recurse(0, cfg.predominated, 0, 0)
     if stats is not None:
         stats["nodes"] = nodes
     return result

@@ -12,6 +12,11 @@ def max_degree(g: Graph) -> int:
     return max(row.bit_count() for row in g.adj)
 
 
+def edge_count(g: Graph) -> int:
+    """Number of edges."""
+    return sum(row.bit_count() for row in g.adj) // 2
+
+
 def edges(g: Graph) -> list[tuple[int, int]]:
     """Every edge once, as (u, v) with u < v, in order."""
     return [(u, v) for u in range(g.n) for v in bits(g.adj[u]) if u < v]

@@ -139,6 +139,15 @@ def test_verify_missing_corpus():
     assert "not found" in out.stderr
 
 
+def test_verify_empty_corpus(tmp_path):
+    corpus = tmp_path / "blank.g6"
+    corpus.write_text("\n\n")
+    out = run_cli("verify", "--corpus", str(corpus))
+    assert out.returncode == 1
+    assert out.stderr == f"error: {corpus}: no graphs found\n"
+    assert out.stdout == ""
+
+
 def test_verify_bad_graph6_line(tmp_path):
     corpus = tmp_path / "bad.g6"
     corpus.write_text("A_\n\n!!\n")

@@ -10,7 +10,7 @@ from cdgame.families import (FamilySpecError, circular_ladder, complete, cycle,
 from cdgame.graph import (cartesian_product, diameter, has_universal_vertex,
                           is_connected, join, lexicographic_product)
 
-from .conftest import max_degree
+from .conftest import edge_count, max_degree
 
 
 def test_small_families():
@@ -28,7 +28,7 @@ def test_small_families():
 def test_doubling_gadget_counts(n, vertices, edges):
     g = doubling_gadget(n)
     assert g.n == vertices == 4 * n - 2
-    assert g.edge_count() == edges == 7 * (n - 1) + 1
+    assert edge_count(g) == edges == 7 * (n - 1) + 1
     assert is_connected(g)
     assert g.adj[g.vertex_by_label("u0")].bit_count() == 1
 
@@ -90,7 +90,7 @@ def test_hamming():
 
 def test_predomination_penalty_graph():
     g = predomination_penalty_graph()
-    assert g.n == 11 and g.edge_count() == 11
+    assert g.n == 11 and edge_count(g) == 11
     assert g.adj[g.vertex_by_label("c")].bit_count() == 2
     assert g.adj[g.vertex_by_label("e")].bit_count() == 3
     assert g.adj[g.vertex_by_label("f")].bit_count() == 3
@@ -102,7 +102,7 @@ def test_random_tree():
     assert random_tree(1, 7).n == 1
     for seed in range(5):
         t = random_tree(9, seed)
-        assert t.edge_count() == 8 and is_connected(t)
+        assert edge_count(t) == 8 and is_connected(t)
     assert random_tree(10, 3) == random_tree(10, 3)
     assert random_tree(10, 3) != random_tree(10, 4)
 

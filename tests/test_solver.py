@@ -214,6 +214,13 @@ def test_naive_oracle_budget_exceeded():
     assert solve_naive(path(4), GameConfig(VD), time_budget=60.0) == 2
 
 
+def test_naive_oracle_reads_clock_past_won_leaves():
+    # 42,392 nodes, most of them leaves counted in place: the clock is
+    # still read once per 4096 nodes, so a zero budget stops the walk
+    with pytest.raises(BudgetExceeded):
+        solve_naive(graph_from_spec("cl:5"), GameConfig(VS, 2), time_budget=0.0)
+
+
 # solve_naive's node counts: a faster oracle node must keep them, which
 # shows that it still walks the same unpruned tree
 _NAIVE_GATE = [
@@ -222,6 +229,13 @@ _NAIVE_GATE = [
     ("fan:2,7", Variant.DOMINATOR_SKIPS_FIRST, 0, None, 5, 3992),
     ("fig3", VD, 0, "c", 8, 408),
     ("cl:5", VD, 1, "(2,1)", 5, 11673),
+    # at the won-leaf boundary: a won root, a root whose children are all
+    # won, and Staller passing beside won children
+    ("path:1", VD, 0, "0", 0, 1),
+    ("complete:4", VD, 0, None, 1, 5),
+    ("path:3", VS, 1, None, 2, 12),
+    ("star:4", VS, 2, None, 2, 28),
+    ("path:4", VS, 2, None, 3, 36),
 ]
 
 

@@ -37,13 +37,16 @@ class CliError(Exception):
 
 
 def _read_corpus(path: str) -> list[tuple[int, str, Graph]]:
-    """The numbered lines of a graph6 file; a missing file or bad line is bad input."""
+    """The numbered lines of a graph6 file; a missing file, bad line or no graph is bad input."""
     if not os.path.exists(path):
         raise CliError(f"file not found: {path}")
     try:
-        return read_graph6_lines(path)
+        entries = read_graph6_lines(path)
     except ValueError as exc:
         raise CliError(str(exc)) from None
+    if not entries:
+        raise CliError(f"{path}: no graphs found")
+    return entries
 
 
 def _open_output(stack: ExitStack, path: str):
@@ -63,10 +66,7 @@ def _load_graph(args) -> Graph:
             return families.graph_from_spec(args.family)
         if args.graph6:
             return parse_graph6(args.graph6)
-        entries = _read_corpus(args.input)
-        if not entries:
-            raise CliError(f"{args.input}: no graphs found")
-        return entries[0][2]
+        return _read_corpus(args.input)[0][2]
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -147,8 +147,6 @@ def cmd_verify(args) -> int:
                     if not is_connected(g):  # the game is defined on connected graphs
                         raise CliError(f"{args.corpus}:{lineno}: graph is disconnected")
                     corpus.append(g)
-                if not corpus:
-                    raise CliError(f"{args.corpus}: no graphs found")
             out = _open_output(stack, args.output) if args.output else None
             results = analysis.run_suite(names, corpus=corpus, time_budget=budget)
         except ValueError as exc:

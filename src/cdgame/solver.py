@@ -47,7 +47,8 @@ new one only for another graph (labels aside) or config, so the replies
 of a game share one memo; its memory lives until such a call.
 
 ``solve`` is the production path; ``solve_naive`` is a deliberately
-plain recursion with its own copy of the move rule, no memo and no
+plain recursion with its own copy of the move rule (a frontier of the
+played vertices' neighbours carried down the recursion), no memo and no
 pruning, used to cross-check ``solve`` on small instances.
 """
 
@@ -315,9 +316,11 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
                 time_budget: float | None = None) -> GameValue:
     """Reference oracle: bare recursive minimax, no memo, no pruning.
 
-    Tests every unplayed vertex against its own copy of the move rule,
-    carries the dominated set down, and counts and scores a move that
-    dominates all that is left in place; shares nothing with :func:`solve`
+    Its own copy of the move rule: after the opening pick, a move is a
+    vertex of the frontier (the union of the played vertices' neighbours,
+    carried down with the dominated set) that dominates something new.
+    A move that dominates all that is left is counted and scored in place,
+    and each node keeps a running best.  Shares nothing with :func:`solve`
     beyond the graph and ``mover_at``.  ``stats``, when given, receives
     the node count.  Raises :class:`BudgetExceeded` once ``time_budget``
     seconds have passed, checking the clock once per 4096 nodes.
@@ -332,7 +335,7 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
     nodes = 0
     check_at = 4096
 
-    def recurse(played: int, dom: int, moves: int, passes_used: int) -> GameValue:
+    def recurse(played: int, front: int, dom: int, moves: int, passes_used: int) -> GameValue:
         nonlocal nodes, check_at
         nodes += 1
         if nodes >= check_at:
@@ -342,28 +345,28 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
         undom = full & ~dom
         if not undom:
             return moves
-        values = []
-        rest = full & ~played
+        minimize = dominator_next[moves + passes_used]
+        best = NEVER if minimize else -1  # Staller's -1: no child yet
+        rest = front & ~played if played else full
         while rest:
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
             new = closed[v] & undom
-            if new and (not played or adj[v] & played):
+            if new:
                 if new == undom:
                     nodes += 1
-                    values.append(moves + 1)
+                    value = moves + 1
                 else:
-                    values.append(recurse(played | low, dom | new, moves + 1, passes_used))
-        if not values:
-            return NEVER
-        if dominator_next[moves + passes_used]:
-            return min(values)
-        if passes_used < budget:
-            values.append(recurse(played, dom, moves, passes_used + 1))
-        return max(values)
+                    value = recurse(played | low, front | adj[v], dom | new,
+                                    moves + 1, passes_used)
+                if (value < best) if minimize else (value > best):
+                    best = value
+        if not minimize and best >= 0 and passes_used < budget:
+            best = max(best, recurse(played, front, dom, moves, passes_used + 1))
+        return NEVER if best < 0 else best
 
-    result = recurse(0, cfg.predominated, 0, 0)
+    result = recurse(0, 0, cfg.predominated, 0, 0)
     if stats is not None:
         stats["nodes"] = nodes
     return result

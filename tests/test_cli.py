@@ -148,6 +148,26 @@ def test_verify_empty_corpus(tmp_path):
     assert out.stdout == ""
 
 
+def test_scan_empty_corpus(tmp_path, monkeypatch, capsys):
+    # like verify and solve --input: exit 1 before the output is opened
+    # or any pool is started
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    corpus = tmp_path / "blank.g6"
+    corpus.write_text("\n\n")
+    target = tmp_path / "scan.jsonl"
+    argv = ["scan", "--corpus", str(corpus), "--threads", "2", "--output", str(target)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {corpus}: no graphs found\n"
+    assert captured.out == ""
+    assert not target.exists()
+    assert cli.main(["solve", "--input", str(corpus)]) == 1
+    assert capsys.readouterr().err == f"error: {corpus}: no graphs found\n"
+
+
 def test_verify_bad_graph6_line(tmp_path):
     corpus = tmp_path / "bad.g6"
     corpus.write_text("A_\n\n!!\n")

@@ -223,6 +223,7 @@ def test_naive_oracle_reads_clock_past_won_leaves():
 
 # solve_naive's node counts: a faster oracle node must keep them, which
 # shows that it still walks the same unpruned tree
+_P3_P2 = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
 _NAIVE_GATE = [
     # spec, variant, pass budget, predominated label, value, nodes
     ("cl:5", VS, 2, None, 6, 42392),
@@ -236,12 +237,24 @@ _NAIVE_GATE = [
     ("path:3", VS, 1, None, 2, 12),
     ("star:4", VS, 2, None, 2, 28),
     ("path:4", VS, 2, None, 3, 36),
+    # where the frontier walk could read the rule differently from a test
+    # of adj[v] & played: the opening pick is exempt from adjacency (also
+    # after Staller's opening pass), after it no vertex of the other
+    # component may be played; and Staller stuck with a pass left (Staller
+    # opens 0, Dominator's only move is 1, then 2 adds nothing new and 4
+    # stays undominated) is NEVER, not a pass.  Both rows were measured
+    # with the adj[v] & played test, before the frontier replaced it.
+    (_P3_P2, VS, 1, None, NEVER, 16),
+    ("path:5", VS, 1, "3", NEVER, 41),
 ]
 
 
 @pytest.mark.parametrize("spec, variant, k, pre, value, nodes", _NAIVE_GATE)
 def test_naive_oracle_tree_is_pinned(spec, variant, k, pre, value, nodes):
-    g = predomination_penalty_graph() if spec == "fig3" else graph_from_spec(spec)
+    if isinstance(spec, Graph):
+        g = spec
+    else:
+        g = predomination_penalty_graph() if spec == "fig3" else graph_from_spec(spec)
     cfg = GameConfig(variant, k, 0 if pre is None else 1 << g.vertex_by_label(pre))
     stats = {}
     assert solve_naive(g, cfg, stats) == value

@@ -282,11 +282,8 @@ ORACLE_CONFIGS = ((Variant.DOMINATOR_START, 0), (Variant.DOMINATOR_START, 1),
 def oracle_configs_for(g: Graph) -> list[GameConfig]:
     """Every oracle-sweep config for one graph: all variant/budget pairs,
     predominated ranging over the empty set and all singletons."""
-    configs = []
-    for variant, k in ORACLE_CONFIGS:
-        for pre in [0] + [1 << v for v in range(g.n)]:
-            configs.append(GameConfig(variant, k, pre))
-    return configs
+    return [GameConfig(variant, k, pre) for variant, k in ORACLE_CONFIGS
+            for pre in [0] + [1 << v for v in range(g.n)]]
 
 
 def _oracle(row: _Row):

@@ -92,13 +92,9 @@ def initial_state(cfg: GameConfig) -> GameState:
     return GameState(played=0, passes_left=cfg.pass_budget)
 
 
-def mover_for(cfg: GameConfig, played: int, passes_left: int) -> Player:
-    """Player about to move; the turn index counts moves and passes made."""
-    return mover_at(cfg.variant, played.bit_count() + (cfg.pass_budget - passes_left) + 1)
-
-
 def mover(cfg: GameConfig, st: GameState) -> Player:
-    return mover_for(cfg, st.played, st.passes_left)
+    """Player about to move; the turn index counts moves and passes made."""
+    return mover_at(cfg.variant, st.played.bit_count() + (cfg.pass_budget - st.passes_left) + 1)
 
 
 def dominated(g: Graph, cfg: GameConfig, st: GameState) -> int:

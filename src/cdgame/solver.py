@@ -5,24 +5,22 @@ Values are move counts (ints); a game that cannot be finished has the
 value :data:`NEVER`, encoded as ``math.inf`` so it orders above every
 finite count and one comparison drives both players' choices.
 
-The search walks one position ``(played, reach, passes_left)``, where
+The search walks one position ``(reach, passes_left, class)``, where
 ``reach`` is N[played]: the dominated set ``dom`` is ``reach`` plus the
-predominated set, the moves are the bits of :func:`engine.playable` of
-the two, and the mover at turn ``t = |played| + passes consumed + 1`` is
-read from a ``mover_at`` table each search builds once.  The memo is a
-transposition table: it stores bounds ``(lo, hi)`` on the number of
-vertex moves still to come, keyed on what decides them,
-
-- ``dom``;
-- the live frontier, that is the move mask itself: a dead frontier
-  vertex never becomes live again, since ``dom`` only grows;
-- the turn class ``t if t <= 2 else 3 + t % 2``, which fixes the mover
-  from here on in all four variants;
-- ``passes_left``.
-
-An opening position's playable set holds an undominated vertex and a
-started position's never does, so the key needs no started flag.  A
-position's value is ``|played|`` plus its remaining moves.
+predominated set, and the moves are the bits of :func:`engine.playable`
+of the two.  The 2-bit mover class has bit 1 set when Dominator moves
+now and bit 0 when Dominator moves next.  The opening class comes from
+:func:`engine.mover_at` at turns 1 and 2; every variant alternates after
+the opening exchange, so after any move or pass the class becomes
+``2 if cls & 1 else 1``.  The memo is a transposition table of bounds
+``(lo, hi)`` on the vertex moves still to come, keyed on what decides
+them: ``dom``, the live frontier (the move mask itself: a dead frontier
+vertex never becomes live again, since ``dom`` only grows), the mover
+class and ``passes_left``.  An opening position's playable set holds an
+undominated vertex and a started position's never does, so the key needs
+no started flag.  No key names the variant, the pass budget or the
+predominated set, and bounds hold for every window, so one search and
+its memo serve every game on a graph.
 
 The search is fail-soft alpha-beta (Dominator minimizes, Staller
 maximizes).  A position not yet dominated needs at least one more move,
@@ -32,9 +30,7 @@ high, and both when it lands inside.  A stored pair that settles the
 window answers at once; otherwise it narrows the window before the
 position is expanded again.  Dominator tries the moves that newly
 dominate the most vertices first and Staller the fewest, lowest vertex
-first on ties.  Bounds hold for every window, and the predominated set
-enters only through ``dom``, so :func:`game_values` serves several
-predominated sets from one search and one memo.
+first on ties.
 
 An optimal move keeps a fixed tie-break, the lowest vertex that attains
 the value and a pass only when none does: after one full-window search
@@ -43,8 +39,8 @@ window holds no integer and so only answers whether the child reaches
 the value.
 
 :func:`optimal_move` keeps its last search, memo included, and builds a
-new one only for another graph (labels aside) or config, so the replies
-of a game share one memo; its memory lives until such a call.
+new one only for another graph (labels aside), so every game's replies
+on a graph share one memo; its memory lives until such a call.
 
 ``solve`` is the production path; ``solve_naive`` is a deliberately
 plain recursion with its own copy of the move rule (a frontier of the
@@ -54,13 +50,13 @@ pruning, used to cross-check ``solve`` on small instances.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .engine import (PASS, GameConfig, GameState, Player, Variant,
-                     mover_at, mover_for, playable)
+from .engine import PASS, GameConfig, GameState, Player, Variant, mover, mover_at, playable
 from .graph import Graph, bits, closed_neighborhood_set
 
 NEVER = math.inf
@@ -95,23 +91,22 @@ class SolveReport:
     elapsed: float = 0.0
 
 
-class _Search:
-    """One alpha-beta search over a fixed graph, variant and pass budget.
-    The move choices start from ``cfg``'s predominated set, but the memo
-    holds for every predominated set, since :meth:`remaining` takes it
-    inside ``dom``.  The time budget, if any, runs from construction or
-    :meth:`restart`."""
+def _opening_class(variant: Variant) -> int:
+    """The mover class of turn 1, from the movers of turns 1 and 2."""
+    return ((mover_at(variant, 1) is Player.DOMINATOR) << 1
+            | (mover_at(variant, 2) is Player.DOMINATOR))
 
-    def __init__(self, g: Graph, cfg: GameConfig, time_budget: float | None = None):
-        cfg.validate_for(g)
+
+class _Search:
+    """One alpha-beta search over a fixed graph.  The memo holds for every
+    variant, pass budget and predominated set, since :meth:`remaining`
+    takes them as the mover class, ``passes_left`` and inside ``dom``.
+    The time budget, if any, runs from construction or :meth:`restart`."""
+
+    def __init__(self, g: Graph, time_budget: float | None = None):
         self.g = g
-        self.cfg = cfg
-        # dominator_at[t - 1]: whether Dominator makes the t-th move
-        self.dominator_at = [mover_at(cfg.variant, t) is Player.DOMINATOR
-                             for t in range(1, g.n + cfg.pass_budget + 2)]
-        self.memo: dict[tuple[int, int, int, int], GameValue] = {}
-        self.expanded = 0
-        self.hits = 0
+        self.memo: dict[tuple[int, int, int, int], tuple[GameValue, GameValue]] = {}
+        self.expanded = self.hits = 0
         self.restart(time_budget)
 
     def restart(self, time_budget: float | None) -> None:
@@ -119,13 +114,14 @@ class _Search:
         self.start = time.monotonic()
         self.deadline = self.start + time_budget if time_budget is not None else None
 
-    def remaining(self, played: int, reach: int, dom: int, passes_left: int,
+    def remaining(self, reach: int, dom: int, passes_left: int, cls: int,
                   alpha: GameValue = -1, beta: GameValue = NEVER) -> GameValue:
         """Vertex moves still to come under optimal play, fail-soft within
         the window ``(alpha, beta)``: a result at or below ``alpha`` is an
         upper bound, one at or above ``beta`` a lower bound, and one
         strictly between them exact, so the default full window gives the
-        exact value.  ``dom`` is ``reach`` plus the predominated set."""
+        exact value.  ``dom`` is ``reach`` plus the predominated set, and
+        ``cls`` the mover class."""
         g = self.g
         full = g.full_mask
         if dom == full:
@@ -135,9 +131,7 @@ class _Search:
         live = playable(g, reach, dom)
         if not live:
             return NEVER
-        # engine.mover_for, inline: this runs once per state
-        turn = played.bit_count() + (self.cfg.pass_budget - passes_left) + 1
-        key = (dom, live, turn if turn <= 2 else 3 + turn % 2, passes_left)
+        key = (dom, live, cls, passes_left)
         memo = self.memo
         entry = memo.get(key)
         if entry is None:
@@ -158,7 +152,8 @@ class _Search:
         if self.deadline is not None and self.expanded % 4096 == 1:
             if time.monotonic() > self.deadline:
                 raise BudgetExceeded
-        dominator = self.dominator_at[turn - 1]
+        dominator = cls & 2
+        after = 2 if cls & 1 else 1
         closed = g.closed
         # Dominator tries the moves that newly dominate the most first,
         # Staller the fewest; each packed as rank << 6 | v, so ties go to
@@ -177,10 +172,9 @@ class _Search:
         if dominator:
             best = NEVER
             for m in order:
-                v = m & 63
-                near = closed[v]
-                child = 1 + self.remaining(played | 1 << v, reach | near, dom | near,
-                                           passes_left, alpha - 1, beta - 1)
+                near = closed[m & 63]
+                child = 1 + self.remaining(reach | near, dom | near, passes_left, after,
+                                           alpha - 1, beta - 1)
                 if child < best:
                     best = child
                     if best <= alpha:
@@ -190,10 +184,9 @@ class _Search:
         else:
             best = 0
             for m in order:
-                v = m & 63
-                near = closed[v]
-                child = 1 + self.remaining(played | 1 << v, reach | near, dom | near,
-                                           passes_left, alpha - 1, beta - 1)
+                near = closed[m & 63]
+                child = 1 + self.remaining(reach | near, dom | near, passes_left, after,
+                                           alpha - 1, beta - 1)
                 if child > best:
                     best = child
                     if best >= beta:
@@ -201,7 +194,7 @@ class _Search:
                     if best > alpha:
                         alpha = best
             if best < beta and passes_left > 0:
-                child = self.remaining(played, reach, dom, passes_left - 1, alpha, beta)
+                child = self.remaining(reach, dom, passes_left - 1, after, alpha, beta)
                 if child > best:
                     best = child
         if best <= window_lo:
@@ -213,17 +206,18 @@ class _Search:
         memo[key] = (lo, hi)
         return best
 
-    def best_action(self, played: int, reach: int, passes_left: int) -> int | str:
+    def best_action(self, reach: int, pre: int, passes_left: int, cls: int) -> int | str:
         """Value-achieving action: lowest playable vertex first, pass only
         if no vertex attains the value.  One full-window search finds the
         value, then a null window around it tests each child in turn."""
         g = self.g
-        dom = reach | self.cfg.predominated
+        dom = reach | pre
         moves = playable(g, reach, dom)
         if not moves:
             raise ValueError("no legal action: the game is over")
-        target = self.remaining(played, reach, dom, passes_left)
-        staller = mover_for(self.cfg, played, passes_left) is Player.STALLER
+        target = self.remaining(reach, dom, passes_left, cls)
+        staller = not cls & 2
+        after = 2 if cls & 1 else 1
         # windows on a vertex child's remaining moves, which attains the
         # target when it equals t = target - 1
         if is_never(target):
@@ -236,28 +230,28 @@ class _Search:
         high = staller or is_never(target)
         closed = g.closed
         for v in bits(moves):
-            child = self.remaining(played | (1 << v), reach | closed[v], dom | closed[v],
-                                   passes_left, alpha, beta)
+            child = self.remaining(reach | closed[v], dom | closed[v], passes_left, after,
+                                   alpha, beta)
             if (child >= beta) == high:
                 return v
         # a pass keeps the move count, so its window is one higher
         if (staller and passes_left > 0 and self.remaining(
-                played, reach, dom, passes_left - 1, alpha + 1, beta + 1) >= target):
+                reach, dom, passes_left - 1, after, alpha + 1, beta + 1) >= target):
             return PASS
         raise ValueError("no legal action from this state")
 
-    def principal_line(self, played: int, reach: int,
-                       passes_left: int) -> list[tuple[Player, int | str]]:
+    def principal_line(self, reach: int, pre: int, passes_left: int,
+                       cls: int) -> list[tuple[Player, int | str]]:
         """Optimal play from the position until the game is won or stuck."""
         line = []
-        while playable(self.g, reach, reach | self.cfg.predominated):
-            action = self.best_action(played, reach, passes_left)
-            line.append((mover_for(self.cfg, played, passes_left), action))
+        while playable(self.g, reach, reach | pre):
+            action = self.best_action(reach, pre, passes_left, cls)
+            line.append((Player.DOMINATOR if cls & 2 else Player.STALLER, action))
             if action == PASS:
                 passes_left -= 1
             else:
-                played |= 1 << action
                 reach |= self.g.closed[action]
+            cls = 2 if cls & 1 else 1
         return line
 
 
@@ -266,9 +260,10 @@ def solve(g: Graph, cfg: GameConfig, time_budget: float | None = None) -> SolveR
 
     Raises :class:`BudgetExceeded` when ``time_budget`` (seconds) runs out.
     """
-    search = _Search(g, cfg, time_budget)
-    value = search.remaining(0, 0, cfg.predominated, cfg.pass_budget)
-    line = search.principal_line(0, 0, cfg.pass_budget)
+    cfg.validate_for(g)
+    search, cls = _Search(g, time_budget), _opening_class(cfg.variant)
+    value = search.remaining(0, cfg.predominated, cfg.pass_budget, cls)
+    line = search.principal_line(0, cfg.predominated, cfg.pass_budget, cls)
     return SolveReport(value=value, principal_line=line,
                        states_expanded=search.expanded, memo_hits=search.hits,
                        memo_entries=len(search.memo),
@@ -287,12 +282,13 @@ def game_values(g: Graph, predominated_sets: Iterable[int],
                 time_budget: float | None = None) -> list[GameValue]:
     """The game's value with each predominated set in turn, from one search
     whose memo they all share; ``time_budget`` applies to each solve."""
-    search = _Search(g, GameConfig(variant=variant, pass_budget=pass_budget))
+    GameConfig(variant, pass_budget)  # a budget the variant does not admit raises here
+    search, cls = _Search(g), _opening_class(variant)
     values = []
     for pre in predominated_sets:
         GameConfig(variant, pass_budget, pre).validate_for(g)
         search.restart(time_budget)
-        values.append(search.remaining(0, 0, pre, pass_budget))
+        values.append(search.remaining(0, pre, pass_budget, cls))
     return values
 
 
@@ -303,13 +299,25 @@ def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     """A minimax-optimal action for the mover at ``st``; ties broken by
     smallest vertex index with pass considered last.  The game must be
     ongoing: a won or stuck position raises ``ValueError``.  The search
-    and its memo are kept between calls; a call with another graph or
-    config replaces them, so their memory lives until then."""
+    and its memo are kept between calls, whatever the config; a call with
+    another graph (labels aside) replaces them, so their memory lives
+    until then."""
     global _last_search
-    if _last_search is None or _last_search.g != g or _last_search.cfg != cfg:
-        _last_search = _Search(g, cfg)
+    cfg.validate_for(g)
+    if _last_search is None or _last_search.g != g:
+        _last_search = _Search(g)
+    if st.played or st.passes_left < cfg.pass_budget:  # past the opening, play alternates
+        cls = 2 if mover(cfg, st) is Player.DOMINATOR else 1
+    else:
+        cls = _opening_class(cfg.variant)
     reach = closed_neighborhood_set(g, st.played)
-    return _last_search.best_action(st.played, reach, st.passes_left)
+    return _last_search.best_action(reach, cfg.predominated, st.passes_left, cls)
+
+
+@functools.lru_cache(maxsize=64)
+def _dominator_next(variant: Variant, length: int) -> tuple[bool, ...]:
+    """Whether Dominator moves after ``made`` moves and passes, for each made < length."""
+    return tuple(mover_at(variant, made + 1) is Player.DOMINATOR for made in range(length))
 
 
 def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
@@ -328,9 +336,7 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
     cfg.validate_for(g)
     adj, closed, full = g.adj, g.closed, g.full_mask
     budget = cfg.pass_budget
-    # whether Dominator makes the move that follows `made` moves and passes
-    dominator_next = [mover_at(cfg.variant, made + 1) is Player.DOMINATOR
-                      for made in range(g.n + budget + 1)]
+    dominator_next = _dominator_next(cfg.variant, g.n + budget + 1)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     nodes = 0
     check_at = 4096

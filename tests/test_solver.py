@@ -193,12 +193,29 @@ def test_deep_ladder_is_pinned(spec, value, states, hits, entries):
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_mover_table_matches_mover_at(variant):
-    # every turn from 1 to n + k + 1, for every pass budget the variant allows
+    # the movers of turns 1 to n + k + 1, read off the mover class from the
+    # opening class on, for every pass budget the variant allows
     for g in (complete(1), path(5)):
         for k in range(3 if variant in PASS_VARIANTS else 1):
-            table = solver._Search(g, GameConfig(variant, k)).dominator_at
-            assert table == [mover_at(variant, t) is Player.DOMINATOR
-                             for t in range(1, g.n + k + 2)]
+            cls, table = solver._opening_class(variant), []
+            for _ in range(g.n + k + 1):
+                table.append(Player.DOMINATOR if cls & 2 else Player.STALLER)
+                cls = 2 if cls & 1 else 1
+            assert table == [mover_at(variant, t) for t in range(1, g.n + k + 2)]
+
+
+def test_pass_budget_past_the_game_length_changes_nothing():
+    # Staller can pass at most once per Dominator move, so a budget of n
+    # already holds every pass; nothing the search builds may grow with it
+    for spec, values in (("fig3", (8, 9)), ("cl:5", (6, 6))):
+        g = graph_from_spec(spec)
+        for variant, value in zip((VD, VS), values):
+            assert game_value(g, variant, 10**6) == game_value(g, variant, g.n) == value
+
+
+def test_game_values_rejects_a_pass_budget_before_any_solve():
+    with pytest.raises(ValueError):
+        game_values(path(4), [], Variant.STALLER_SKIPS_FIRST, 1)
 
 
 def test_budget_exceeded():
@@ -455,12 +472,15 @@ def test_optimal_move_keeps_its_search_for_equal_inputs():
     root = GameState(0, 1)
     first = optimal_move(g, cfg, root)
     kept = solver._last_search
-    # an equal graph with other labels and an equal config reuse the search
+    # an equal graph with other labels reuses the search, and so does the
+    # same graph under another variant, pass budget or predominated set
     assert optimal_move(_relabeled(g), GameConfig(VS, 1), root) == first
     assert solver._last_search is kept
-    optimal_move(g, GameConfig(VS, 1, predominated=1), root)
-    assert solver._last_search is not kept
-    kept = solver._last_search
+    for other in (GameConfig(VD), GameConfig(VD, 2), GameConfig(VS, 1, predominated=1),
+                  GameConfig(Variant.DOMINATOR_SKIPS_FIRST)):
+        optimal_move(g, other, GameState(0, other.pass_budget))
+        assert solver._last_search is kept
+    # another graph replaces it
     optimal_move(path(6), GameConfig(VS, 1, predominated=1), root)
     assert solver._last_search is not kept
 
@@ -472,11 +492,12 @@ def test_optimal_move_keeps_its_search_for_equal_inputs():
 def test_kept_search_matches_brute_force_across_games(g, h, first, second, pre_a,
                                                       pre_b, steps):
     # Four games advance one action at a time in the order ``steps`` picks,
-    # so optimal_move keeps its search between calls on the same graph and
-    # config and replaces it on a switch: two configs on g, one on h, and
-    # the first config on an equal copy of g with other labels.  Every
-    # reply is checked; the game goes on with it or with another legal
-    # action.  Once ``steps`` runs out, the engine plays every game out.
+    # so optimal_move keeps its search between calls on the same graph,
+    # whatever the config, and replaces it on a switch of graph: two
+    # configs on g, one on h, and the first config on an equal copy of g
+    # with other labels.  Every reply is checked; the game goes on with it
+    # or with another legal action.  Once ``steps`` runs out, the engine
+    # plays every game out.
     games = [(g, GameConfig(*first, pre_a & g.full_mask)),
              (g, GameConfig(*second, pre_b & g.full_mask)),
              (h, GameConfig(*first, pre_b & h.full_mask)),

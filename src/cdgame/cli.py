@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
 from . import analysis, families
@@ -169,8 +168,7 @@ def cmd_verify(args) -> int:
 
 
 def _scan_one(job):
-    index, line, time_budget = job
-    g = parse_graph6(line)
+    index, line, g, time_budget = job
     try:
         result = analysis.predomination_scan(g, time_budget=time_budget)
     except BudgetExceeded:
@@ -200,13 +198,14 @@ def cmd_scan(args) -> int:
     threads = _scan_threads(args)
     budget = _time_budget(args)
     entries = _read_corpus(args.corpus)  # a bad line stops the scan before any record
-    jobs = [(i, line, budget) for i, (_, line, _) in enumerate(entries, start=1)]
+    jobs = [(i, line, g, budget) for i, (_, line, g) in enumerate(entries, start=1)]
     records = []
     with ExitStack() as stack:
         out = _open_output(stack, args.output) if args.output else sys.stdout
         # a fork pool starts all its workers at once, so ask for no more than lines
         workers = min(threads, len(jobs))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(_scan_one, jobs, chunksize=8)
         else:

@@ -16,11 +16,13 @@ the opening exchange, so after any move or pass the class becomes
 ``(lo, hi)`` on the vertex moves still to come, keyed on what decides
 them: ``dom``, the live frontier (the move mask itself: a dead frontier
 vertex never becomes live again, since ``dom`` only grows), the mover
-class and ``passes_left``.  An opening position's playable set holds an
-undominated vertex and a started position's never does, so the key needs
-no started flag.  No key names the variant, the pass budget or the
-predominated set, and bounds hold for every window, so one search and
-its memo serve every game on a graph.
+class and ``passes_left``, packed into one int as
+``((passes_left << 2 | cls) << n | live) << n | dom`` with the pass
+budget in the top field, since nothing bounds it.  An opening position's
+playable set holds an undominated vertex and a started position's never
+does, so the key needs no started flag.  No key names the variant, the
+pass budget or the predominated set, and bounds hold for every window,
+so one search and its memo serve every game on a graph.
 
 The search is fail-soft alpha-beta (Dominator minimizes, Staller
 maximizes).  A position not yet dominated needs at least one more move,
@@ -38,9 +40,11 @@ for the value, each child is tested with a null window, a search whose
 window holds no integer and so only answers whether the child reaches
 the value.
 
-:func:`optimal_move` keeps its last search, memo included, and builds a
-new one only for another graph (labels aside), so every game's replies
-on a graph share one memo; its memory lives until such a call.
+:func:`optimal_move` keeps one search, memo included, per graph (labels
+aside), so every game's replies on a graph share one memo, also when
+games on other graphs come between them.  The kept memos are held to
+:data:`KEPT_ENTRIES` entries in all, about 8 MB: after a reply the least
+recently used searches go first, and the current one is never dropped.
 
 ``solve`` is the production path; ``solve_naive`` is a deliberately
 plain recursion with its own copy of the move rule (a frontier of the
@@ -105,7 +109,7 @@ class _Search:
 
     def __init__(self, g: Graph, time_budget: float | None = None):
         self.g = g
-        self.memo: dict[tuple[int, int, int, int], tuple[GameValue, GameValue]] = {}
+        self.memo: dict[int, tuple[GameValue, GameValue]] = {}
         self.expanded = self.hits = 0
         self.restart(time_budget)
 
@@ -131,7 +135,8 @@ class _Search:
         live = playable(g, reach, dom)
         if not live:
             return NEVER
-        key = (dom, live, cls, passes_left)
+        n = g.n
+        key = ((passes_left << 2 | cls) << n | live) << n | dom
         memo = self.memo
         entry = memo.get(key)
         if entry is None:
@@ -292,26 +297,37 @@ def game_values(g: Graph, predominated_sets: Iterable[int],
     return values
 
 
-_last_search: _Search | None = None
+#: memo entries kept over all of :func:`optimal_move`'s searches; at about
+#: 130 bytes an entry, about 8 MB
+KEPT_ENTRIES = 2**16
+
+_searches: dict[Graph, _Search] = {}  # least recently used first
 
 
 def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     """A minimax-optimal action for the mover at ``st``; ties broken by
     smallest vertex index with pass considered last.  The game must be
-    ongoing: a won or stuck position raises ``ValueError``.  The search
-    and its memo are kept between calls, whatever the config; a call with
-    another graph (labels aside) replaces them, so their memory lives
-    until then."""
-    global _last_search
+    ongoing: a won or stuck position raises ``ValueError``.  One search,
+    memo included, is kept per graph (labels aside) whatever the config,
+    so a graph that comes back reuses what every earlier reply on it
+    found.  After a reply, the least recently used searches other than
+    this graph's are dropped while the kept memos hold more than
+    :data:`KEPT_ENTRIES` entries (2**16, about 8 MB)."""
     cfg.validate_for(g)
-    if _last_search is None or _last_search.g != g:
-        _last_search = _Search(g)
+    search = _searches.pop(g, None) or _Search(g)
+    _searches[g] = search
     if st.played or st.passes_left < cfg.pass_budget:  # past the opening, play alternates
         cls = 2 if mover(cfg, st) is Player.DOMINATOR else 1
     else:
         cls = _opening_class(cfg.variant)
     reach = closed_neighborhood_set(g, st.played)
-    return _last_search.best_action(reach, cfg.predominated, st.passes_left, cls)
+    action = search.best_action(reach, cfg.predominated, st.passes_left, cls)
+    kept = sum(len(s.memo) for s in _searches.values())
+    for old in list(_searches)[:-1]:
+        if kept <= KEPT_ENTRIES:
+            break
+        kept -= len(_searches.pop(old).memo)
+    return action
 
 
 @functools.lru_cache(maxsize=64)
@@ -336,7 +352,9 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
     cfg.validate_for(g)
     adj, closed, full = g.adj, g.closed, g.full_mask
     budget = cfg.pass_budget
-    dominator_next = _dominator_next(cfg.variant, g.n + budget + 1)
+    # passes come only in d and s, which alternate, so a game holds at most
+    # one more pass than Dominator moves: n + 1 passes at most
+    dominator_next = _dominator_next(cfg.variant, g.n + min(budget, g.n + 1) + 1)
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     nodes = 0
     check_at = 4096

@@ -315,7 +315,7 @@ def test_criterion_12_determinism(corpus):
     if first != second:
         failures.append("two verify runs differ")
 
-    jobs = [(i, emit_graph6(g), None) for i, g in enumerate(corpus[:60], start=1)]
+    jobs = [(i, emit_graph6(g), g, None) for i, g in enumerate(corpus[:60], start=1)]
     serial = [_scan_one(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=2) as pool:
         parallel = list(pool.map(_scan_one, jobs, chunksize=4))

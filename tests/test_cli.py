@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import os
@@ -154,7 +155,7 @@ def test_scan_empty_corpus(tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     corpus = tmp_path / "blank.g6"
     corpus.write_text("\n\n")
     target = tmp_path / "scan.jsonl"
@@ -284,7 +285,7 @@ def test_scan_pool_starts_no_more_workers_than_lines(tmp_path, monkeypatch, caps
         def map(self, fn, jobs, chunksize=1):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     corpus = tmp_path / "three.g6"
     corpus.write_text("A_\nBw\nCF\n")
     argv = ["scan", "--corpus", str(corpus)]
@@ -300,6 +301,15 @@ def test_scan_pool_starts_no_more_workers_than_lines(tmp_path, monkeypatch, caps
     one.write_text("A_\n")
     assert cli.main(["scan", "--corpus", str(one), "--threads", "16"]) == 0
     assert started == [3, 3]  # one line is scanned in this process
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a scan with more than one worker imports the pool and multiprocessing
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cdgame.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert out.stdout == "False\n"
 
 
 def test_scan_rejects_bad_thread_counts(tmp_path, monkeypatch, capsys):

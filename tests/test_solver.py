@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -204,13 +206,25 @@ def test_mover_table_matches_mover_at(variant):
             assert table == [mover_at(variant, t) for t in range(1, g.n + k + 2)]
 
 
-def test_pass_budget_past_the_game_length_changes_nothing():
+def test_pass_budget_past_the_game_length_changes_nothing(monkeypatch):
     # Staller can pass at most once per Dominator move, so a budget of n
-    # already holds every pass; nothing the search builds may grow with it
+    # already holds every pass; nothing the search or the oracle builds
+    # may grow with it, and the oracle walks the same tree
     for spec, values in (("fig3", (8, 9)), ("cl:5", (6, 6))):
         g = graph_from_spec(spec)
         for variant, value in zip((VD, VS), values):
             assert game_value(g, variant, 10**6) == game_value(g, variant, g.n) == value
+            huge, fitted = {}, {}
+            assert solve_naive(g, GameConfig(variant, 10**6), huge) == value
+            assert solve_naive(g, GameConfig(variant, g.n), fitted) == value
+            assert huge == fitted
+    # the oracle's mover table stops at the longest game, n moves and n + 1 passes
+    lengths = []
+    table = solver._dominator_next
+    monkeypatch.setattr(solver, "_dominator_next",
+                        lambda variant, length: lengths.append(length) or table(variant, length))
+    assert solve_naive(path(4), GameConfig(VD, 3 * 10**6)) == 2
+    assert lengths == [4 + 5 + 1]
 
 
 def test_game_values_rejects_a_pass_budget_before_any_solve():
@@ -466,61 +480,93 @@ def _relabeled(g):
     return Graph(g.n, g.adj, [f"x{v}" for v in range(g.n)])
 
 
-def test_optimal_move_keeps_its_search_for_equal_inputs():
+def test_optimal_move_keeps_its_search_for_equal_inputs(monkeypatch):
+    monkeypatch.setattr(solver, "_searches", {})
     g = cycle(6)
     cfg = GameConfig(VS, pass_budget=1)
     root = GameState(0, 1)
     first = optimal_move(g, cfg, root)
-    kept = solver._last_search
+    kept = solver._searches[g]
     # an equal graph with other labels reuses the search, and so does the
     # same graph under another variant, pass budget or predominated set
     assert optimal_move(_relabeled(g), GameConfig(VS, 1), root) == first
-    assert solver._last_search is kept
+    assert solver._searches[g] is kept
     for other in (GameConfig(VD), GameConfig(VD, 2), GameConfig(VS, 1, predominated=1),
                   GameConfig(Variant.DOMINATOR_SKIPS_FIRST)):
         optimal_move(g, other, GameState(0, other.pass_budget))
-        assert solver._last_search is kept
-    # another graph replaces it
+        assert solver._searches[g] is kept
+    # another graph gets a search of its own, and a return to g reuses g's
     optimal_move(path(6), GameConfig(VS, 1, predominated=1), root)
-    assert solver._last_search is not kept
+    assert solver._searches[path(6)] is not kept
+    assert optimal_move(g, cfg, root) == first
+    assert solver._searches[g] is kept
+    assert list(solver._searches) == [path(6), g]
 
 
-@given(connected_graphs(max_n=6), connected_graphs(max_n=6), _cfg_strategy,
-       _cfg_strategy, st.integers(0, 63), st.integers(0, 63),
-       st.lists(st.tuples(st.integers(0, 3), st.integers(0, 7)), max_size=30))
+def test_optimal_move_drops_the_least_recently_used_searches(monkeypatch):
+    monkeypatch.setattr(solver, "_searches", {})
+    cfg, root = GameConfig(VD), GameState()
+    a, b, c = cycle(6), path(6), circular_ladder(4)
+    for g in (a, b, c, a):
+        optimal_move(g, cfg, root)
+    searches = solver._searches
+    assert list(searches) == [b, c, a]  # least recently used first
+    sizes = {g: len(searches[g].memo) for g in searches}
+    # one entry over the budget drops b, the least recently used; c and a
+    # stay, since asking c the same question again adds no entry
+    monkeypatch.setattr(solver, "KEPT_ENTRIES", sum(sizes.values()) - 1)
+    optimal_move(c, cfg, root)
+    assert list(searches) == [a, c]
+    assert {g: len(searches[g].memo) for g in searches} == {a: sizes[a], c: sizes[c]}
+    # the current search stays, even alone over the budget
+    monkeypatch.setattr(solver, "KEPT_ENTRIES", 0)
+    optimal_move(b, cfg, root)
+    assert list(searches) == [b] and len(searches[b].memo) > 0
+    assert optimal_move(a, cfg, root) == _brute_move(a, cfg, 0, 0)
+    assert list(searches) == [a]
+
+
+@given(connected_graphs(max_n=6), connected_graphs(max_n=6), connected_graphs(max_n=5),
+       _cfg_strategy, _cfg_strategy, st.integers(0, 63), st.integers(0, 63),
+       st.integers(0, 80),
+       st.lists(st.tuples(st.integers(0, 4), st.integers(0, 7)), max_size=30))
 @settings(max_examples=60, deadline=None)
-def test_kept_search_matches_brute_force_across_games(g, h, first, second, pre_a,
-                                                      pre_b, steps):
-    # Four games advance one action at a time in the order ``steps`` picks,
-    # so optimal_move keeps its search between calls on the same graph,
-    # whatever the config, and replaces it on a switch of graph: two
-    # configs on g, one on h, and the first config on an equal copy of g
-    # with other labels.  Every reply is checked; the game goes on with it
-    # or with another legal action.  Once ``steps`` runs out, the engine
-    # plays every game out.
+def test_kept_search_matches_brute_force_across_games(g, h, k, first, second, pre_a,
+                                                      pre_b, kept, steps):
+    # Five games advance one action at a time in the order ``steps`` picks,
+    # so optimal_move keeps one search per graph, whatever the config, and
+    # drops the least recently used ones past a budget of ``kept`` memo
+    # entries: two configs on g, one on h, one on k, and the first config
+    # on an equal copy of g with other labels.  Every reply is checked; the
+    # game goes on with it or with another legal action.  Once ``steps``
+    # runs out, the engine plays every game out.
     games = [(g, GameConfig(*first, pre_a & g.full_mask)),
              (g, GameConfig(*second, pre_b & g.full_mask)),
              (h, GameConfig(*first, pre_b & h.full_mask)),
+             (k, GameConfig(*second, pre_a & k.full_mask)),
              (_relabeled(g), GameConfig(*first, pre_a & g.full_mask))]
     positions = [GameState(0, cfg.pass_budget) for _, cfg in games]
     steps = iter(steps)
-    while True:
-        ongoing = [i for i, (gr, cfg) in enumerate(games)
-                   if status(gr, cfg, positions[i]) is Status.ONGOING]
-        if not ongoing:
-            break
-        pick, deviate = next(steps, (0, None))
-        i = ongoing[pick % len(ongoing)]
-        gr, cfg = games[i]
-        pos = positions[i]
-        reply = optimal_move(gr, cfg, pos)
-        assert reply == _brute_move(gr, cfg, pos.played, pos.passes_left)
-        actions = list(bits(legal_moves(gr, cfg, pos)))
-        if mover(cfg, pos) is Player.STALLER and pos.passes_left > 0:
-            actions.append(PASS)
-        if deviate is None:
-            action = reply
-        else:
-            action = (actions + [reply])[deviate % (len(actions) + 1)]
-        positions[i] = (apply_pass(cfg, pos) if action == PASS
-                        else apply_move(gr, cfg, pos, action))
+    with mock.patch.object(solver, "KEPT_ENTRIES", kept), \
+            mock.patch.object(solver, "_searches", {}):
+        while True:
+            ongoing = [i for i, (gr, cfg) in enumerate(games)
+                       if status(gr, cfg, positions[i]) is Status.ONGOING]
+            if not ongoing:
+                break
+            pick, deviate = next(steps, (0, None))
+            i = ongoing[pick % len(ongoing)]
+            gr, cfg = games[i]
+            pos = positions[i]
+            reply = optimal_move(gr, cfg, pos)
+            assert reply == _brute_move(gr, cfg, pos.played, pos.passes_left)
+            assert next(reversed(solver._searches)) == gr
+            actions = list(bits(legal_moves(gr, cfg, pos)))
+            if mover(cfg, pos) is Player.STALLER and pos.passes_left > 0:
+                actions.append(PASS)
+            if deviate is None:
+                action = reply
+            else:
+                action = (actions + [reply])[deviate % (len(actions) + 1)]
+            positions[i] = (apply_pass(cfg, pos) if action == PASS
+                            else apply_move(gr, cfg, pos, action))

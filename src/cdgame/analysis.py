@@ -32,7 +32,7 @@ from typing import Any, Callable, Iterable
 
 from . import families
 from .engine import GameConfig, Variant
-from .graph import (Graph, bits, diameter, has_universal_vertex, is_complete,
+from .graph import (Graph, bits, cut_vertices, diameter, has_universal_vertex, is_complete,
                     is_join_some_noncomplete, is_join_two_noncomplete, read_graph6_file)
 from .solver import NEVER, BudgetExceeded, GameValue, game_values, is_never, solve_naive
 
@@ -49,14 +49,9 @@ class ClaimResult:
     elapsed: float = 0.0
 
     def to_record(self) -> dict:
-        return {
-            "claim": self.claim,
-            "instance": self.instance,
-            "expected": _jsonable(self.expected),
-            "observed": _jsonable(self.observed),
-            "verdict": self.verdict,
-            "elapsed": round(self.elapsed, 6),
-        }
+        record = {k: _jsonable(v) for k, v in vars(self).items()}
+        record["elapsed"] = round(self.elapsed, 6)
+        return record
 
 
 def _jsonable(value):
@@ -128,9 +123,7 @@ class _Row:
     def per_vertex(self) -> list[GameValue]:
         """The plain game's values with each single vertex predominated, in
         vertex order."""
-        self.value()  # fills the column
-        column = self.columns[Variant.DOMINATOR_START, 0]
-        return [column[1 << v] for v in range(self.g.n)]
+        return [self.value(pre=1 << v) for v in range(self.g.n)]
 
 
 def _value_claim(claim: str, row: _Row, expected, variant: Variant = Variant.DOMINATOR_START,
@@ -139,36 +132,6 @@ def _value_claim(claim: str, row: _Row, expected, variant: Variant = Variant.DOM
     followed by ``|`` and the labels of ``pre`` when a set is predominated."""
     labels = "|" + ",".join(map(row.g.label, bits(pre))) if pre else ""
     return _timed_claim(claim, row.name + labels, expected, lambda: row.value(variant, 0, pre))
-
-
-def cut_vertices(g: Graph) -> int:
-    """Mask of articulation vertices, by the usual DFS low-link walk."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    result = 0
-    timer = 0
-
-    def walk(u: int, parent: int):
-        nonlocal timer, result
-        disc[u] = low[u] = timer
-        timer += 1
-        children = 0
-        for w in bits(g.adj[u]):
-            if disc[w] == -1:
-                children += 1
-                walk(w, u)
-                low[u] = min(low[u], low[w])
-                if parent != -1 and low[w] >= disc[u]:
-                    result |= 1 << u
-            elif w != parent:
-                low[u] = min(low[u], disc[w])
-        if parent == -1 and children > 1:
-            result |= 1 << u
-
-    for v in range(g.n):
-        if disc[v] == -1:
-            walk(v, -1)
-    return result
 
 
 @dataclass
@@ -183,15 +146,7 @@ class ScanResult:
     candidate: bool = False
 
     def to_record(self) -> dict:
-        return {
-            "value": _jsonable(self.value),
-            "per_vertex": [_jsonable(v) for v in self.per_vertex],
-            "never_vertices": self.never_vertices,
-            "max_increase": self.max_increase,
-            "max_decrease": self.max_decrease,
-            "all_vertices_shift": self.all_vertices_shift,
-            "candidate": self.candidate,
-        }
+        return {k: _jsonable(v) for k, v in vars(self).items()}
 
 
 def predomination_scan(g: Graph, time_budget: float | None = None) -> ScanResult:

@@ -23,14 +23,6 @@ from .engine import (PASS, GameConfig, GameState, Player, Status, Variant,
 from .graph import Graph, is_connected, parse_graph6, read_graph6_lines
 from .solver import BudgetExceeded, format_value, is_never, optimal_move, solve
 
-VARIANTS = {
-    "d": Variant.DOMINATOR_START,
-    "s": Variant.STALLER_START,
-    "dd": Variant.STALLER_SKIPS_FIRST,
-    "ss": Variant.DOMINATOR_SKIPS_FIRST,
-}
-
-
 class CliError(Exception):
     pass
 
@@ -93,7 +85,7 @@ def _predominated_mask(g: Graph, specs: list[str]) -> int:
 
 def _config(g: Graph, args) -> GameConfig:
     try:
-        cfg = GameConfig(variant=VARIANTS[args.variant],
+        cfg = GameConfig(variant=Variant(args.variant),
                          pass_budget=args.passes,
                          predominated=_predominated_mask(g, args.predominate))
         cfg.validate_for(g)
@@ -296,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="graph6 file (first graph is used)")
 
     def add_game(p):
-        p.add_argument("--variant", choices=sorted(VARIANTS), default="d",
+        p.add_argument("--variant", choices=sorted(v.value for v in Variant), default="d",
                        help="d/s: Dominator/Staller starts; dd/ss: the starter's "
                             "opponent skips the opening exchange")
         p.add_argument("--passes", type=int, default=0, metavar="K",

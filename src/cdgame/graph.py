@@ -9,7 +9,7 @@ N[S] is read from tables a graph builds on first use: N[S] for every
 subset S of each 8-vertex chunk, so a union costs one lookup per chunk.
 
 Also provides the classical invariants the game analysis needs
-(connectivity, diameter, join splits), the graph constructions
+(connectivity, diameter, cut vertices, join splits), the graph constructions
 used to build test instances (join, Cartesian and lexicographic
 products), and graph6 reading for corpus files.
 """
@@ -161,6 +161,17 @@ def _bfs_layers(adj: Sequence[int], start: int, within: int) -> Iterator[int]:
         seen |= frontier
 
 
+def _components(adj: Sequence[int], within: int) -> list[int]:
+    """Vertex sets of the connected components of the subgraph on ``within``;
+    ``adj[v]`` is the neighbor mask of v."""
+    comps = []
+    left = within
+    while left:
+        comps.append(sum(_bfs_layers(adj, left & -left, within)))
+        left &= ~comps[-1]
+    return comps
+
+
 def is_connected_induced(g: Graph, s: int) -> bool:
     """Whether the subgraph induced by the nonempty set ``s`` is connected."""
     if s == 0:
@@ -183,6 +194,14 @@ def diameter(g: Graph) -> int:
     return best
 
 
+def cut_vertices(g: Graph) -> int:
+    """Mask of cut vertices: u is one when G - u has more connected
+    components than G."""
+    count = len(_components(g.adj, g.full_mask))
+    return sum(1 << u for u in range(g.n)
+               if len(_components(g.adj, g.full_mask & ~(1 << u))) > count)
+
+
 # ---------------------------------------------------------------------------
 # constructions
 
@@ -203,17 +222,14 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     n = g.n * h.n
     if n > MAX_VERTICES:
         raise ValueError(f"product would have {n} > {MAX_VERTICES} vertices")
-    edges = []
+    rows = []
     for a in range(g.n):
         for b in range(h.n):
-            i = a * h.n + b
-            for b2 in bits(h.adj[b]):
-                if b2 > b:
-                    edges.append((i, a * h.n + b2))
+            row = h.adj[b] << a * h.n
             for a2 in bits(g.adj[a]):
-                if a2 > a:
-                    edges.append((i, a2 * h.n + b))
-    return Graph.from_edges(n, edges)
+                row |= 1 << (a2 * h.n + b)
+            rows.append(row)
+    return Graph(n, rows)
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
@@ -222,20 +238,14 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
     n = g.n * h.n
     if n > MAX_VERTICES:
         raise ValueError(f"product would have {n} > {MAX_VERTICES} vertices")
-    edges = []
+    block = (1 << h.n) - 1
+    rows = []
     for a in range(g.n):
-        base = a * h.n
-        for b in range(h.n):
-            for b2 in bits(h.adj[b]):
-                if b2 > b:
-                    edges.append((base + b, base + b2))
+        blocks = 0
         for a2 in bits(g.adj[a]):
-            if a2 > a:
-                base2 = a2 * h.n
-                for b in range(h.n):
-                    for b2 in range(h.n):
-                        edges.append((base + b, base2 + b2))
-    return Graph.from_edges(n, edges)
+            blocks |= block << a2 * h.n
+        rows += [(h.adj[b] << a * h.n) | blocks for b in range(h.n)]
+    return Graph(n, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +260,7 @@ def has_universal_vertex(g: Graph) -> bool:
 
 
 def _complement_components(g: Graph) -> list[int]:
-    comp_adj = [g.full_mask & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
-    comps = []
-    left = g.full_mask
-    while left:
-        comps.append(sum(_bfs_layers(comp_adj, left & -left, g.full_mask)))
-        left &= ~comps[-1]
-    return comps
+    return _components([g.full_mask ^ row for row in g.closed], g.full_mask)
 
 
 # G = A v B iff A is a nonempty proper union of complement components.  A

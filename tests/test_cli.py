@@ -304,12 +304,14 @@ def test_scan_pool_starts_no_more_workers_than_lines(tmp_path, monkeypatch, caps
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # only a scan with more than one worker imports the pool and multiprocessing
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, cdgame.cli; print('concurrent.futures.process' in sys.modules)"],
-        capture_output=True, text=True, env=CHILD_ENV, timeout=60)
-    assert out.stdout == "False\n"
+    # only a scan with more than one worker imports the pool and multiprocessing;
+    # a bare ``import concurrent.futures`` would already load logging
+    script = ("import sys; before = set(sys.modules); import cdgame.cli; "
+              "print(sorted({'concurrent.futures', 'logging', 'multiprocessing', 'queue'}"
+              " & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def test_scan_rejects_bad_thread_counts(tmp_path, monkeypatch, capsys):

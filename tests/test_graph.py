@@ -1,10 +1,11 @@
+import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdgame.families import complete, cycle, fan_chain, path, star
 from cdgame.graph import (Graph, bits, cartesian_product,
-                          closed_neighborhood_set, diameter,
+                          closed_neighborhood_set, cut_vertices, diameter,
                           has_universal_vertex, is_complete, is_connected,
                           is_connected_induced, is_join_some_noncomplete,
                           is_join_two_noncomplete, join, lexicographic_product,
@@ -145,6 +146,30 @@ def test_lexicographic_product():
     two_k1 = Graph(2, [0, 0])
     c4ish = lexicographic_product(complete(2), two_k1)
     assert edge_count(c4ish) == 4 and all(c4ish.adj[v].bit_count() == 2 for v in range(4))
+
+
+@given(arbitrary_graphs(), arbitrary_graphs())
+@settings(max_examples=200)
+def test_products_match_the_adjacency_rule(g, h):
+    box, lex = cartesian_product(g, h), lexicographic_product(g, h)
+    for i in range(g.n * h.n):
+        a, b = divmod(i, h.n)
+        for j in range(g.n * h.n):
+            a2, b2 = divmod(j, h.n)
+            g_edge, h_edge = bool(g.adj[a] >> a2 & 1), bool(h.adj[b] >> b2 & 1)
+            assert bool(box.adj[i] >> j & 1) == (a == a2 and h_edge or b == b2 and g_edge)
+            assert bool(lex.adj[i] >> j & 1) == (g_edge or a == a2 and h_edge)
+
+
+@given(arbitrary_graphs())
+@example(complete(1))
+@example(complete(2))
+@settings(max_examples=300)
+def test_cut_vertices_match_networkx(g):
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_edges_from(edges(g))
+    assert cut_vertices(g) == mask_of(nx.articulation_points(reference))
 
 
 def test_domination_numbers():

@@ -5,13 +5,14 @@ passes only on exact match.  The named suite groups the claims the
 verification harness runs: exact path/cycle/ladder/product values, the
 small-value and diameter characterizations, the Staller-start and
 skip/pass sandwiches over a graph corpus, predomination behavior, and
-the solver-vs-oracle agreement sweep.  Every claim reads its values
-from one table of per-graph rows: a row per corpus graph, and a row per
-family spec (``path:8``, ``lex:cycle:5,complete:2``) for the named
-graphs, keyed by that spec, which is also the instance of its claims
-(followed by ``|`` and vertex labels when a set is predominated).  Rows
-fill on demand a column per search, so a suite run solves each value of
-each graph once.
+the solver-vs-oracle agreement sweep.  Each group is a generator that
+yields a claim as soon as it is decided, so a caller can report it at
+once.  Every claim reads its values from one table of per-graph rows:
+a row per corpus graph, and a row per family spec (``path:8``,
+``lex:cycle:5,complete:2``) for the named graphs, keyed by that spec,
+which is also the instance of its claims (followed by ``|`` and vertex
+labels when a set is predominated).  Rows fill on demand a column per
+search, so a suite run solves each value of each graph once.
 
 Every record comes from :func:`_records`: expected values in record
 order against one timed ``observe`` call for the observed ones; a solve
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import families
 from .engine import GameConfig, Variant
@@ -273,44 +274,43 @@ def _corpus_claims(table: list[_Row], names: tuple[str, ...],
 S, D_SKIP = Variant.STALLER_START, Variant.STALLER_SKIPS_FIRST
 
 
-def _group_paths_cycles(table, named) -> list[ClaimResult]:
-    claims = []
+def _group_paths_cycles(table, named) -> Iterator[ClaimResult]:
     for n in range(3, 11):
         row = named(f"path:{n}")
-        claims += [_value_claim("path/d", row, n - 2), _value_claim("path/s", row, n - 1, S)]
+        yield _value_claim("path/d", row, n - 2)
+        yield _value_claim("path/s", row, n - 1, S)
     for n in range(4, 9):
         row = named(f"cycle:{n}")
-        claims.append(_value_claim("cycle/d", row, n - 2))
-        claims.append(_timed_claim("cycle/predominated", row.name, [n - 3] * n, row.per_vertex))
-    return claims
+        yield _value_claim("cycle/d", row, n - 2)
+        yield _timed_claim("cycle/predominated", row.name, [n - 3] * n, row.per_vertex)
 
 
-def _group_small_values(table, named) -> list[ClaimResult]:
-    return _corpus_claims(table(), ("small-value/d-one", "small-value/d-two",
-                                    "small-value/s-one", "small-value/s-two"), _small_values)
+def _group_small_values(table, named) -> Iterator[ClaimResult]:
+    yield from _corpus_claims(table(), ("small-value/d-one", "small-value/d-two",
+                                        "small-value/s-one", "small-value/s-two"),
+                              _small_values)
 
 
-def _group_diameter(table, named) -> list[ClaimResult]:
-    claims = _corpus_claims(table(), ("diameter/d-bound", "diameter/s-bound"),
-                            _diameter_bounds)
+def _group_diameter(table, named) -> Iterator[ClaimResult]:
+    yield from _corpus_claims(table(), ("diameter/d-bound", "diameter/s-bound"),
+                              _diameter_bounds)
     p8 = named("path:8")
     dia = diameter(p8.g)
-    return claims + [_value_claim("diameter/tight-d", p8, dia - 1),
-                     _value_claim("diameter/tight-s", p8, dia, S)]
+    yield _value_claim("diameter/tight-d", p8, dia - 1)
+    yield _value_claim("diameter/tight-s", p8, dia, S)
 
 
-def _group_hamming(table, named) -> list[ClaimResult]:
-    claims = []
+def _group_hamming(table, named) -> Iterator[ClaimResult]:
     for spec in ("hamming:2,4", "hamming:2,5"):
         row = named(spec)
-        claims += [_value_claim("hamming/d", row, 3), _value_claim("hamming/s", row, 2, S)]
-    return claims
+        yield _value_claim("hamming/d", row, 3)
+        yield _value_claim("hamming/s", row, 2, S)
 
 
-def _group_staller_start(table, named) -> list[ClaimResult]:
+def _group_staller_start(table, named) -> Iterator[ClaimResult]:
     """The corpus sandwich, then the doubling gadget: d-game n, s-game 2n,
     the extreme s/d ratio."""
-    claims = _corpus_claims(table(), ("staller-start/sandwich",), _staller_start)
+    yield from _corpus_claims(table(), ("staller-start/sandwich",), _staller_start)
     for n in (2, 3, 4):
         row = named(f"gn:{n}")
 
@@ -318,36 +318,36 @@ def _group_staller_start(table, named) -> list[ClaimResult]:
             d, s = row.value(), row.value(S)
             return d, s, s == 2 * d
 
-        claims += _records(row.name, {"gadget/d": n, "gadget/s": 2 * n,
-                                      "gadget/ratio": True}, observe)
-    return claims
+        yield from _records(row.name, {"gadget/d": n, "gadget/s": 2 * n,
+                                       "gadget/ratio": True}, observe)
 
 
-def _group_skip(table, named) -> list[ClaimResult]:
-    claims = _corpus_claims(table(), ("skip/d-sandwich", "skip/s-sandwich"), _skip)
+def _group_skip(table, named) -> Iterator[ClaimResult]:
+    yield from _corpus_claims(table(), ("skip/d-sandwich", "skip/s-sandwich"), _skip)
     for n in range(3, 9):
-        claims.append(_value_claim("skip/path", named(f"path:{n}"), n - 2, D_SKIP))
+        yield _value_claim("skip/path", named(f"path:{n}"), n - 2, D_SKIP)
     f2, h1 = named("fan:2,8"), named("hat:1")
-    return claims + [_value_claim("fan/d", f2, 3), _value_claim("skip/fan", f2, 4, D_SKIP),
-                     _value_claim("hat/d", h1, 6), _value_claim("skip/hat", h1, 5, D_SKIP)]
+    yield _value_claim("fan/d", f2, 3)
+    yield _value_claim("skip/fan", f2, 4, D_SKIP)
+    yield _value_claim("hat/d", h1, 6)
+    yield _value_claim("skip/hat", h1, 5, D_SKIP)
 
 
-def _group_pass(table, named) -> list[ClaimResult]:
-    return _corpus_claims(table(), ("pass/bound-k1", "pass/bound-k2", "pass/monotone"),
-                          _pass)
+def _group_pass(table, named) -> Iterator[ClaimResult]:
+    yield from _corpus_claims(table(), ("pass/bound-k1", "pass/bound-k2", "pass/monotone"),
+                              _pass)
 
 
 _LEX_LEFT = ["path:2", "path:3", "path:4", "cycle:4", "cycle:5", "complete:2", "complete:3"]
 _LEX_RIGHT = ["complete:1", "complete:2", "complete:3", "path:3", "path:4", "cycle:4"]
 
 
-def _group_lexicographic(table, named) -> list[ClaimResult]:
+def _group_lexicographic(table, named) -> Iterator[ClaimResult]:
     """Exact composition values of G[H] for both starting players, plus the
     two-sided range bound for the Dominator-start game when it applies,
     over the factor pairs with at most 20 vertices.  Past the time budget
     the two case claims are reported with no expected value, since the
     expectations are solved too."""
-    claims = []
     for g_name in _LEX_LEFT:
         g = named(g_name)
         trivial = g.g.n == 1
@@ -374,40 +374,37 @@ def _group_lexicographic(table, named) -> list[ClaimResult]:
                     return obs_d, obs_s, gd <= obs_d <= gd + 2
                 return obs_d, obs_s
 
-            claims += _records(product.name, expected, observe)
-    return claims
+            yield from _records(product.name, expected, observe)
 
 
-def _group_predomination(table, named) -> list[ClaimResult]:
+def _group_predomination(table, named) -> Iterator[ClaimResult]:
     fig, p5 = named("fig3"), named("path:5")
     c = 1 << fig.g.vertex_by_label("c")
-    return [
-        _value_claim("predomination/penalty-base", fig, 7),
-        _value_claim("predomination/penalty-shifted", fig, 8, pre=c),
-        _value_claim("predomination/path-stuck-s", p5, NEVER, S, pre=1 << 2),
-        _value_claim("predomination/path-stuck-d", p5, NEVER, pre=0b01110),
-    ] + _corpus_claims(table(), ("predomination/cut-vertex",
-                                 "predomination/opening-not-worse"), _predomination)
+    yield _value_claim("predomination/penalty-base", fig, 7)
+    yield _value_claim("predomination/penalty-shifted", fig, 8, pre=c)
+    yield _value_claim("predomination/path-stuck-s", p5, NEVER, S, pre=1 << 2)
+    yield _value_claim("predomination/path-stuck-d", p5, NEVER, pre=0b01110)
+    yield from _corpus_claims(table(), ("predomination/cut-vertex",
+                                        "predomination/opening-not-worse"), _predomination)
 
 
-def _group_ladders(table, named) -> list[ClaimResult]:
+def _group_ladders(table, named) -> Iterator[ClaimResult]:
     """Circular and Mobius ladder values, plain and with every single
     vertex predominated (vertex-transitivity is checked, not assumed)."""
-    claims = []
     for n in (4, 5, 6, 7):
         for tag, spec in (("circular", f"cl:{n}"), ("mobius", f"ml:{n}")):
             row = named(spec)
-            claims.append(_value_claim(f"ladder/{tag}", row, 2 * (n - 2)))
-            claims.append(_timed_claim(f"ladder/{tag}-predominated", row.name,
-                                       [2 * (n - 2) - 1] * row.g.n, row.per_vertex))
-    return claims
+            yield _value_claim(f"ladder/{tag}", row, 2 * (n - 2))
+            yield _timed_claim(f"ladder/{tag}-predominated", row.name,
+                               [2 * (n - 2) - 1] * row.g.n, row.per_vertex)
 
 
-def _group_oracle(table, named) -> list[ClaimResult]:
-    return _corpus_claims(table(), ("oracle/agreement",), _oracle)
+def _group_oracle(table, named) -> Iterator[ClaimResult]:
+    yield from _corpus_claims(table(), ("oracle/agreement",), _oracle)
 
 
-#: each group takes ``table()``, the corpus rows built on first call, and
+#: each group is a generator of its claims, each yielded as soon as it is
+#: decided; it takes ``table()``, the corpus rows built on first call, and
 #: ``named(spec)``, the row of a family spec built on its first call
 GROUPS: dict[str, Callable] = {
     "paths-cycles": _group_paths_cycles,
@@ -425,12 +422,15 @@ GROUPS: dict[str, Callable] = {
 
 
 def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = None,
-              time_budget: float = 60.0) -> list[ClaimResult]:
+              time_budget: float = 60.0) -> Iterator[ClaimResult]:
     """Run named claim groups (all of them by default; a repeated name runs
-    once, at its first mention) and collect results.
+    once, at its first mention), yielding each claim as soon as it is
+    decided.
 
-    Every solve runs under ``time_budget``; a claim whose solve runs past
-    it is reported as budget-exceeded."""
+    The names are checked at the call: an unknown one raises
+    ``ValueError`` before any claim runs.  Every solve runs under
+    ``time_budget``; a claim whose solve runs past it is reported as
+    budget-exceeded."""
     selected = list(dict.fromkeys(names)) if names is not None else list(GROUPS)
     unknown = [n for n in selected if n not in GROUPS]
     if unknown:
@@ -438,7 +438,4 @@ def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = N
     table = cache(lambda: [_Row(g, f"corpus[{i}]", time_budget) for i, g in
                            enumerate(load_corpus() if corpus is None else corpus)])
     named = cache(lambda spec: _Row(families.graph_from_spec(spec), spec, time_budget))
-    results = []
-    for name in selected:
-        results.extend(GROUPS[name](table, named))
-    return results
+    return (claim for name in selected for claim in GROUPS[name](table, named))

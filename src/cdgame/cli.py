@@ -139,23 +139,23 @@ def cmd_verify(args) -> int:
                         raise CliError(f"{args.corpus}:{lineno}: graph is disconnected")
                     corpus.append(g)
             out = _open_output(stack, args.output) if args.output else None
-            results = analysis.run_suite(names, corpus=corpus, time_budget=budget)
+            claims = failures = 0
+            for c in analysis.run_suite(names, corpus=corpus, time_budget=budget):
+                record = c.to_record()
+                claims += 1
+                if c.verdict == analysis.PASS:
+                    print(f"PASS  {c.claim:36s} {c.instance}", flush=True)
+                else:
+                    failures += 1
+                    print(f"{c.verdict.upper():5s} {c.claim:36s} {c.instance} "
+                          f"expected={json.dumps(record['expected'])} "
+                          f"observed={json.dumps(record['observed'])}", flush=True)
+                if out:
+                    out.write(json.dumps(record) + "\n")
+                    out.flush()  # an interrupted verify keeps every claim finished so far
         except ValueError as exc:
             raise CliError(str(exc)) from None
-        failures = 0
-        for c in results:
-            record = c.to_record()
-            if c.verdict == analysis.PASS:
-                print(f"PASS  {c.claim:36s} {c.instance}")
-            else:
-                failures += 1
-                print(f"{c.verdict.upper():5s} {c.claim:36s} {c.instance} "
-                      f"expected={json.dumps(record['expected'])} "
-                      f"observed={json.dumps(record['observed'])}")
-        print(f"{len(results)} claims, {failures} not passing")
-        if out:
-            for c in results:
-                out.write(json.dumps(c.to_record()) + "\n")
+        print(f"{claims} claims, {failures} not passing")
     return 1 if failures else 0
 
 

@@ -56,7 +56,7 @@ def test_lexicographic_cases():
 
 
 def test_ladder_claims_match_search_not_formula():
-    claims = run_suite(["ladders"])
+    claims = list(run_suite(["ladders"]))
     ok = [c for c in claims if c.instance[-1] in "45"]
     assert len(ok) == 8 and _all_pass(ok)
     # For n >= 6 the predominated formula value is one above what exhaustive
@@ -116,11 +116,11 @@ def test_corpus_values_are_solved_once(monkeypatch):
         return real(g, sets, variant, pass_budget, time_budget)
 
     monkeypatch.setattr(analysis, "game_values", counting)
-    assert _all_pass(run_suite(corpus=graphs)[-1:])  # the oracle agrees
+    assert _all_pass(list(run_suite(corpus=graphs))[-1:])  # the oracle agrees
     assert set(calls.values()) == {1}
     assert set(calls) == {(i, v, k) for i in range(3) for v, k in analysis.ORACLE_CONFIGS}
     calls.clear()
-    run_suite(["small-values"], corpus=graphs)
+    list(run_suite(["small-values"], corpus=graphs))
     assert set(calls) == {(i, v, 0) for i in range(3)
                           for v in (Variant.DOMINATOR_START, Variant.STALLER_START)}
     assert set(calls.values()) == {1}
@@ -140,7 +140,7 @@ def test_named_values_are_solved_once(monkeypatch):
         return real(g, sets, variant, pass_budget, time_budget)
 
     monkeypatch.setattr(analysis, "game_values", counting)
-    claims = run_suite(["paths-cycles", "ladders", "diameter"], corpus=[])
+    claims = list(run_suite(["paths-cycles", "ladders", "diameter"], corpus=[]))
     specs = {c.instance for c in claims if c.instance != "corpus"}
     assert "path:8" in specs and {"diameter/tight-d", "path/d"} <= {
         c.claim for c in claims if c.instance == "path:8"}
@@ -265,14 +265,14 @@ def test_cycles_scan_range():
 
 
 def test_run_suite_selection_and_unknown():
-    claims = run_suite(["hamming"])
+    claims = list(run_suite(["hamming"]))
     assert len(claims) == 4 and _all_pass(claims)
     with pytest.raises(ValueError):
         run_suite(["no-such-group"])
 
 
 def test_exhausted_budget_is_reported_distinctly():
-    claims = run_suite(["skip"], corpus=[], time_budget=1e-9)
+    claims = list(run_suite(["skip"], corpus=[], time_budget=1e-9))
     budgeted = [c for c in claims if c.verdict == BUDGET]
     assert {c.claim for c in budgeted} == {"skip/path", "fan/d", "skip/fan",
                                            "hat/d", "skip/hat"}
@@ -286,13 +286,13 @@ def test_exhausted_budget_is_reported_distinctly():
 @pytest.mark.parametrize("group", list(analysis.GROUPS))
 def test_every_group_honours_time_budget(group):
     # every claim solves something; the corpus matters only to corpus claims
-    claims = run_suite([group], corpus=[path(4)], time_budget=1e-9)
+    claims = list(run_suite([group], corpus=[path(4)], time_budget=1e-9))
     assert claims
     assert all(c.verdict == BUDGET and c.observed == "budget exceeded" for c in claims)
 
 
 def test_corpus_claims_honour_time_budget():
-    claims = run_suite(["pass"], corpus=[path(6)], time_budget=1e-9)
+    claims = list(run_suite(["pass"], corpus=[path(6)], time_budget=1e-9))
     assert [c.verdict for c in claims] == [BUDGET] * 3
     assert all(c.observed == "budget exceeded" for c in claims)
 
@@ -300,7 +300,7 @@ def test_corpus_claims_honour_time_budget():
 def test_budget_records_keep_their_expected_values():
     # a budget stop keeps each claim's expectation, except that a solved
     # expectation (the lexicographic cases) is reported as None
-    claims = run_suite(None, corpus=[path(4)], time_budget=1e-9)
+    claims = list(run_suite(None, corpus=[path(4)], time_budget=1e-9))
     assert all(c.verdict == BUDGET for c in claims)
     lex = [c for c in claims if c.claim.startswith("lex/")]
     assert len(lex) == 2 * 42

@@ -134,6 +134,69 @@ def test_verify_records_match_benchmark_reference(tmp_path, capsys):
         assert {k: v for k, v in rec.items() if k != "elapsed"} == ref
 
 
+def test_interrupted_verify_keeps_its_finished_prefix(tmp_path, monkeypatch, capsys):
+    def interrupted(table, named):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli.analysis.GROUPS, "oracle", interrupted)
+    target = tmp_path / "claims.jsonl"
+    argv = ["verify", "--only", "hamming", "--only", "oracle", "--output", str(target)]
+    assert cli.main(argv) == 130
+    records = [json.loads(ln) for ln in target.read_text().splitlines()]
+    assert [r["claim"] for r in records] == ["hamming/d", "hamming/s"] * 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 and all(ln.startswith("PASS  hamming/") for ln in lines)
+
+
+def test_verify_streams_each_claim_as_it_is_decided(tmp_path, monkeypatch):
+    class Stdout(io.StringIO):
+        """Records the length written at each flush."""
+        def __init__(self):
+            super().__init__()
+            self.flushed = [0]
+
+        def flush(self):
+            self.flushed.append(len(self.getvalue()))
+
+    corpus = tmp_path / "one.g6"
+    corpus.write_text("A_\n")
+    target = tmp_path / "claims.jsonl"
+    stdout = Stdout()
+    seen = []
+    real = cli.analysis.solve_naive
+
+    def first_oracle_solve(*args, **kwargs):
+        if not seen:  # every claim before the oracle group is out, each line flushed
+            text = stdout.getvalue()
+            ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+            seen.append(text.splitlines())
+            assert len(ends) == 4 and set(ends) <= set(stdout.flushed)
+            assert len(target.read_text().splitlines()) == 4
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(cli.analysis, "solve_naive", first_oracle_solve)
+    argv = ["verify", "--only", "hamming", "--only", "oracle", "--corpus", str(corpus),
+            "--output", str(target)]
+    assert cli.main(argv) == 0
+    assert len(seen) == 1 and all(ln.startswith("PASS  hamming/") for ln in seen[0])
+    assert stdout.getvalue().splitlines()[-1] == "5 claims, 0 not passing"
+
+
+def test_verify_into_closed_pipe_exits_quietly():
+    # `cdgame verify ... | head -1`: the reader leaves after one claim line
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cdgame.cli", "verify", "--only", "paths-cycles",
+         "--only", "oracle"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, env=CHILD_ENV)
+    assert proc.stdout.readline().startswith("PASS  path/d")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_verify_missing_corpus():
     out = run_cli("verify", "--only", "pass", "--corpus", "/does/not/exist.g6")
     assert out.returncode == 1

@@ -35,7 +35,8 @@ from . import families
 from .engine import GameConfig, Variant
 from .graph import (Graph, bits, cut_vertices, diameter, has_universal_vertex, is_complete,
                     is_join_some_noncomplete, is_join_two_noncomplete, read_graph6_file)
-from .solver import NEVER, BudgetExceeded, GameValue, game_values, is_never, solve_naive
+from .solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, GameValue, game_values, is_never,
+                     naive_values)
 
 PASS, FAIL, BUDGET = "pass", "fail", "budget-exceeded"
 
@@ -228,13 +229,6 @@ def _predomination(row: _Row):
            any(val <= base for val in per_vertex))
 
 
-#: the (variant, pass budget) combinations the oracle sweep covers
-ORACLE_CONFIGS = ((Variant.DOMINATOR_START, 0), (Variant.DOMINATOR_START, 1),
-                  (Variant.DOMINATOR_START, 2), (Variant.STALLER_START, 0),
-                  (Variant.STALLER_START, 1), (Variant.STALLER_START, 2),
-                  (Variant.STALLER_SKIPS_FIRST, 0), (Variant.DOMINATOR_SKIPS_FIRST, 0))
-
-
 def oracle_configs_for(g: Graph) -> list[GameConfig]:
     """Every oracle-sweep config for one graph: all variant/budget pairs,
     predominated ranging over the empty set and all singletons."""
@@ -244,12 +238,15 @@ def oracle_configs_for(g: Graph) -> list[GameConfig]:
 
 def _oracle(row: _Row):
     """The row's values, the ones every other corpus claim reads, agree
-    with the naive oracle."""
+    with the naive oracle: one walk of the move tree per predominated set
+    scores all of its configs, and the time budget bounds each walk."""
+    naive = {pre: naive_values(row.g, pre, time_budget=row.time_budget)
+             for pre in [0] + [1 << v for v in range(row.g.n)]}
     for cfg in oracle_configs_for(row.g):
         value = row.value(cfg.variant, cfg.pass_budget, cfg.predominated)
         yield ("oracle/agreement",
                f"{row.name}/{cfg.variant.value}/k{cfg.pass_budget}/p{cfg.predominated}",
-               value == solve_naive(row.g, cfg, time_budget=row.time_budget))
+               value == naive[cfg.predominated][cfg.variant, cfg.pass_budget])
 
 
 def _corpus_claims(table: list[_Row], names: tuple[str, ...],

@@ -50,6 +50,13 @@ recently used searches go first, and the current one is never dropped.
 plain recursion with its own copy of the move rule (a frontier of the
 played vertices' neighbours carried down the recursion), no memo and no
 pruning, used to cross-check ``solve`` on small instances.
+``naive_values`` walks the same tree once for all eight oracle-sweep
+configs of a predominated set: unpruned, the tree does not depend on who
+moves, so each node returns its value for every mover and every number
+of passes left.  It is what the oracle sweep runs.  ``solve_naive`` stays
+the per-config reference: the tests compare the walk with it, and its
+node counts, pass nodes included, bound the states the solver expands
+on each config, which the shared walk's count cannot.
 """
 
 from __future__ import annotations
@@ -394,3 +401,90 @@ def solve_naive(g: Graph, cfg: GameConfig, stats: dict | None = None,
     if stats is not None:
         stats["nodes"] = nodes
     return result
+
+
+#: the (variant, pass budget) combinations the oracle sweep covers: the
+#: keys of :func:`naive_values`, in the sweep's order
+ORACLE_CONFIGS = ((Variant.DOMINATOR_START, 0), (Variant.DOMINATOR_START, 1),
+                  (Variant.DOMINATOR_START, 2), (Variant.STALLER_START, 0),
+                  (Variant.STALLER_START, 1), (Variant.STALLER_START, 2),
+                  (Variant.STALLER_SKIPS_FIRST, 0), (Variant.DOMINATOR_SKIPS_FIRST, 0))
+
+
+def naive_values(g: Graph, predominated: int, stats: dict | None = None,
+                 time_budget: float | None = None) -> dict[tuple[Variant, int], GameValue]:
+    """Reference oracle for every config of :data:`ORACLE_CONFIGS` at once:
+    the value of each, keyed by ``(variant, pass budget)``.
+
+    With no memo and no pruning the tree of legal move sequences does not
+    depend on who moves, so one walk of it scores every config.  It keeps
+    :func:`solve_naive`'s move rule, node count and clock.  A node returns
+    the vertex moves still to come in the sweep's order: for each number
+    ``b`` of passes left, 0 to 2, ``D[b]`` with Dominator to move, ``1 +``
+    the least ``S[b]`` of its children, and ``S[b]`` with Staller to move,
+    ``1 +`` the greatest ``D[b]`` of its children or, when ``b > 0``, a
+    pass to the node's own ``D[b - 1]``; then ``DD`` and ``SS``, where the
+    mover moves twice before play alternates, ``1 +`` the least ``D[0]``
+    and the greatest ``S[0]`` of its children.  So the root's entries are
+    the values of ``d``/k, ``s``/k, ``dd`` and ``ss``.  A node with no
+    vertex move is NEVER throughout, so a stuck Staller never passes.
+    """
+    GameConfig(predominated=predominated).validate_for(g)
+    adj, closed, full = g.adj, g.closed, g.full_mask
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    nodes = 0
+    check_at = 4096
+    won = (0,) * 8  # a fully predominated root; won moves are scored in place
+
+    def walk(played: int, front: int, dom: int) -> tuple[GameValue, ...]:
+        """``(D[0], D[1], D[2], S[0], S[1], S[2], DD, SS)`` after ``played``."""
+        nonlocal nodes, check_at
+        nodes += 1
+        if nodes >= check_at:
+            check_at += 4096
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceeded
+        undom = full & ~dom
+        if not undom:
+            return won
+        d0 = d1 = d2 = dd = NEVER
+        s0 = s1 = s2 = ss = -1  # no child yet
+        rest = front & ~played if played else full
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            new = closed[v] & undom
+            if not new:
+                continue
+            if new == undom:
+                nodes += 1
+                d0 = d1 = d2 = dd = 0
+                s0, s1, s2, ss = max(s0, 0), max(s1, 0), max(s2, 0), max(ss, 0)
+                continue
+            c0, c1, c2, c3, c4, c5, _, _ = walk(played | low, front | adj[v], dom | new)
+            if c3 < d0:
+                d0 = c3
+            if c4 < d1:
+                d1 = c4
+            if c5 < d2:
+                d2 = c5
+            if c0 < dd:
+                dd = c0
+            if c0 > s0:
+                s0 = c0
+            if c1 > s1:
+                s1 = c1
+            if c2 > s2:
+                s2 = c2
+            if c3 > ss:
+                ss = c3
+        if s0 < 0:
+            return (NEVER,) * 8
+        return (d0 + 1, d1 + 1, d2 + 1, s0 + 1, max(s1, d0) + 1, max(s2, d1) + 1,
+                dd + 1, ss + 1)
+
+    values = dict(zip(ORACLE_CONFIGS, walk(0, 0, predominated)))
+    if stats is not None:
+        stats["nodes"] = nodes
+    return values

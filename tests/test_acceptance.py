@@ -26,7 +26,7 @@ from cdgame.families import (circular_ladder, complete, cycle,
                              mobius_ladder, path, predomination_penalty_graph)
 from cdgame.graph import (Graph, bits, diameter, has_universal_vertex,
                           is_join_some_noncomplete, is_join_two_noncomplete, join)
-from cdgame.solver import NEVER, game_value, solve, solve_naive
+from cdgame.solver import NEVER, game_value, naive_values, solve, solve_naive
 
 from .conftest import complement
 from .graph6 import emit_graph6
@@ -291,14 +291,18 @@ def test_criterion_11_oracle_equivalence(corpus):
     start = time.monotonic()
     failures = []
     for i, g in enumerate(corpus):
+        walks = {pre: naive_values(g, pre) for pre in [0] + [1 << v for v in range(g.n)]}
         for cfg in oracle_configs_for(g):
             stats = {}
             report = solve(g, cfg)
             naive = solve_naive(g, cfg, stats)
+            walked = walks[cfg.predominated][cfg.variant, cfg.pass_budget]
             if report.value != naive:
                 failures.append(f"corpus[{i}] {cfg}: {report.value} vs {naive}")
             elif report.states_expanded > stats["nodes"]:
                 failures.append(f"corpus[{i}] {cfg}: memo expanded more than oracle")
+            if walked != naive:
+                failures.append(f"corpus[{i}] {cfg}: one walk gave {walked} vs {naive}")
     _finish("11 oracle-equivalence", failures, time.monotonic() - start)
 
 

@@ -163,9 +163,9 @@ def test_verify_streams_each_claim_as_it_is_decided(tmp_path, monkeypatch):
     target = tmp_path / "claims.jsonl"
     stdout = Stdout()
     seen = []
-    real = cli.analysis.solve_naive
+    real = cli.analysis.naive_values
 
-    def first_oracle_solve(*args, **kwargs):
+    def first_oracle_walk(*args, **kwargs):
         if not seen:  # every claim before the oracle group is out, each line flushed
             text = stdout.getvalue()
             ends = [i + 1 for i, ch in enumerate(text) if ch == "\n"]
@@ -175,7 +175,7 @@ def test_verify_streams_each_claim_as_it_is_decided(tmp_path, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sys, "stdout", stdout)
-    monkeypatch.setattr(cli.analysis, "solve_naive", first_oracle_solve)
+    monkeypatch.setattr(cli.analysis, "naive_values", first_oracle_walk)
     argv = ["verify", "--only", "hamming", "--only", "oracle", "--corpus", str(corpus),
             "--output", str(target)]
     assert cli.main(argv) == 0

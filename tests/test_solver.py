@@ -12,8 +12,9 @@ from cdgame.engine import (PASS, PASS_VARIANTS, GameConfig, GameState, Player,
 from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
                              graph_from_spec, path, predomination_penalty_graph)
 from cdgame.graph import Graph, bits
-from cdgame.solver import (NEVER, BudgetExceeded, format_value, game_value,
-                           game_values, is_never, optimal_move, solve, solve_naive)
+from cdgame.solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, format_value, game_value,
+                           game_values, is_never, naive_values, optimal_move, solve,
+                           solve_naive)
 
 from .conftest import arbitrary_graphs, connected_graphs
 from .domination import connected_domination_number
@@ -302,6 +303,52 @@ def test_naive_oracle_nodes_on_verify_slice(corpus):
             solve_naive(g, cfg, stats)
             total += stats["nodes"]
     assert total == 626088
+
+
+def test_naive_values_nodes_on_verify_slice(corpus):
+    # the same slice, one walk per predominated set instead of one per
+    # config: the walk scores a pass at the node it is made from
+    total = 0
+    for g in corpus[::8]:
+        for pre in [0] + [1 << v for v in range(g.n)]:
+            stats = {}
+            naive_values(g, pre, stats)
+            total += stats["nodes"]
+    assert total == 39536
+
+
+def test_naive_values_keys_are_the_oracle_configs():
+    for g, pre in ((path(4), 0), (path(4), 0b0110), (path(4), 0b1111), (complete(3), 1)):
+        assert list(naive_values(g, pre)) == list(ORACLE_CONFIGS)
+    stats = {}
+    assert set(naive_values(path(1), 1, stats).values()) == {0}  # a won root
+    assert stats["nodes"] == 1
+    with pytest.raises(ValueError):
+        naive_values(path(4), 1 << 4)
+
+
+def test_naive_values_reads_clock_past_won_leaves():
+    with pytest.raises(BudgetExceeded):
+        naive_values(graph_from_spec("cl:5"), 0, time_budget=0.0)
+
+
+@given(arbitrary_graphs(max_n=6), st.integers(0, 63))
+@settings(max_examples=150, deadline=None)
+# where an entry reads another's value, graphs on which it matters: the
+# s/1 pass to the node's own D[0], and dd and ss reading D[0] and S[0],
+# not D[1] and S[1], of the root's children (random graphs of up to 6
+# vertices rarely tell these apart)
+@example(Graph.from_edges(7, [(0, 1), (0, 4), (1, 3), (1, 5), (2, 3), (2, 6), (3, 4)]), 14)
+@example(Graph.from_edges(8, [(0, 4), (1, 2), (1, 6), (1, 7), (2, 5), (3, 5), (3, 7), (4, 5),
+                              (6, 7)]), 0)
+@example(Graph.from_edges(8, [(0, 4), (0, 5), (1, 2), (2, 3), (2, 5), (2, 6), (3, 5), (3, 7),
+                              (4, 6), (4, 7)]), 4)
+def test_naive_values_match_naive_oracle(g, pre_bits):
+    # disconnected graphs and NEVER values included
+    pre = pre_bits & g.full_mask
+    assert naive_values(g, pre) == {
+        (variant, k): solve_naive(g, GameConfig(variant, k, pre))
+        for variant, k in ORACLE_CONFIGS}
 
 
 def test_game_value_lower_bound_on_corpus(corpus):

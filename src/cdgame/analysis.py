@@ -11,8 +11,9 @@ once.  Every claim reads its values from one table of per-graph rows:
 a row per corpus graph, and a row per family spec (``path:8``,
 ``lex:cycle:5,complete:2``) for the named graphs, keyed by that spec,
 which is also the instance of its claims (followed by ``|`` and vertex
-labels when a set is predominated).  Rows fill on demand a column per
-search, so a suite run solves each value of each graph once.
+labels when a set is predominated).  A read solves what its column lacks
+in one search, so a suite run solves each value of each graph at most
+once, and of a named graph only the values its claims read.
 
 Every record comes from :func:`_records`: expected values in record
 order against one timed ``observe`` call for the observed ones; a solve
@@ -29,10 +30,10 @@ import time
 from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import families
-from .engine import GameConfig, Variant
+from .engine import Variant
 from .graph import (Graph, bits, cut_vertices, diameter, has_universal_vertex, is_complete,
                     is_join_some_noncomplete, is_join_two_noncomplete, read_graph6_file)
 from .solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, GameValue, game_values, is_never,
@@ -103,29 +104,34 @@ def load_corpus(path=None) -> list[Graph]:
 @dataclass
 class _Row:
     """Game values of one graph, named ``corpus[i]`` or by its family spec,
-    by ``(variant, k)`` column and then predominated set ``pre``.  The
-    first read of a column solves the empty set and every singleton in
-    one :func:`game_values` search, plus ``pre`` when it is a larger set
-    (read after the column is full, such a set is solved alone); a solve
-    past ``time_budget`` leaves the column unfilled."""
+    by ``(variant, k)`` column and then predominated set.  A read solves
+    the sets it asks for that the column lacks in one :func:`game_values`
+    search, together with ``fills`` on a column's first read: the empty
+    set, and in a corpus row every singleton too, since its oracle and
+    predomination claims read them all.  A solve past ``time_budget``
+    adds none of that search's sets."""
     g: Graph
     name: str
     time_budget: float | None
+    fills: tuple[int, ...] = (0,)
     columns: dict[tuple[Variant, int], dict[int, GameValue]] = field(default_factory=dict)
+
+    def values(self, variant: Variant, k: int, sets: Sequence[int]) -> list[GameValue]:
+        column = self.columns.setdefault((variant, k), {})
+        wanted = sets if column else [*self.fills, *sets]
+        missing = [p for p in dict.fromkeys(wanted) if p not in column]
+        if missing:
+            column.update(zip(missing, game_values(self.g, missing, variant, k, self.time_budget)))
+        return [column[p] for p in sets]
 
     def value(self, variant: Variant = Variant.DOMINATOR_START, k: int = 0,
               pre: int = 0) -> GameValue:
-        column = self.columns.setdefault((variant, k), {})
-        if pre not in column:
-            sets = [p for p in dict.fromkeys([0, *(1 << v for v in range(self.g.n)), pre])
-                    if p not in column]
-            column.update(zip(sets, game_values(self.g, sets, variant, k, self.time_budget)))
-        return column[pre]
+        return self.values(variant, k, [pre])[0]
 
     def per_vertex(self) -> list[GameValue]:
         """The plain game's values with each single vertex predominated, in
         vertex order."""
-        return [self.value(pre=1 << v) for v in range(self.g.n)]
+        return self.values(Variant.DOMINATOR_START, 0, [1 << v for v in range(self.g.n)])
 
 
 def _value_claim(claim: str, row: _Row, expected, variant: Variant = Variant.DOMINATOR_START,
@@ -159,11 +165,10 @@ def predomination_scan(g: Graph, time_budget: float | None = None) -> ScanResult
     question, so they are reported, never asserted to (not) exist.  Stuck
     outcomes are listed separately and excluded from the shift extremes;
     when the base game itself is stuck, no vertex has a shift.  The n+1
-    solves are one column of a :class:`_Row`, so they share one search and
+    solves are one :func:`game_values` call, so they share one search and
     memo; ``time_budget`` applies to each.
     """
-    row = _Row(g, "", time_budget)
-    base, per_vertex = row.value(), row.per_vertex()
+    base, *per_vertex = game_values(g, [0, *(1 << v for v in range(g.n))], time_budget=time_budget)
     nevers = [v for v, val in enumerate(per_vertex) if is_never(val)]
     shifts = [] if is_never(base) else [int(val - base) for val in per_vertex
                                         if not is_never(val)]
@@ -229,24 +234,17 @@ def _predomination(row: _Row):
            any(val <= base for val in per_vertex))
 
 
-def oracle_configs_for(g: Graph) -> list[GameConfig]:
-    """Every oracle-sweep config for one graph: all variant/budget pairs,
-    predominated ranging over the empty set and all singletons."""
-    return [GameConfig(variant, k, pre) for variant, k in ORACLE_CONFIGS
-            for pre in [0] + [1 << v for v in range(g.n)]]
-
-
 def _oracle(row: _Row):
     """The row's values, the ones every other corpus claim reads, agree
     with the naive oracle: one walk of the move tree per predominated set
-    scores all of its configs, and the time budget bounds each walk."""
-    naive = {pre: naive_values(row.g, pre, time_budget=row.time_budget)
-             for pre in [0] + [1 << v for v in range(row.g.n)]}
-    for cfg in oracle_configs_for(row.g):
-        value = row.value(cfg.variant, cfg.pass_budget, cfg.predominated)
-        yield ("oracle/agreement",
-               f"{row.name}/{cfg.variant.value}/k{cfg.pass_budget}/p{cfg.predominated}",
-               value == naive[cfg.predominated][cfg.variant, cfg.pass_budget])
+    scores all of its configs, and the time budget bounds each walk.  Only
+    the disagreements are yielded, one column at a time."""
+    sets = [0, *(1 << v for v in range(row.g.n))]
+    naive = [naive_values(row.g, pre, time_budget=row.time_budget) for pre in sets]
+    for variant, k in ORACLE_CONFIGS:
+        for pre, value, walk in zip(sets, row.values(variant, k, sets), naive):
+            if value != walk[variant, k]:
+                yield "oracle/agreement", f"{row.name}/{variant.value}/k{k}/p{pre}", False
 
 
 def _corpus_claims(table: list[_Row], names: tuple[str, ...],
@@ -432,7 +430,7 @@ def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = N
     unknown = [n for n in selected if n not in GROUPS]
     if unknown:
         raise ValueError(f"unknown claim groups: {', '.join(unknown)}")
-    table = cache(lambda: [_Row(g, f"corpus[{i}]", time_budget) for i, g in
-                           enumerate(load_corpus() if corpus is None else corpus)])
+    table = cache(lambda: [_Row(g, f"corpus[{i}]", time_budget, (0, *(1 << v for v in range(g.n))))
+                           for i, g in enumerate(load_corpus() if corpus is None else corpus)])
     named = cache(lambda spec: _Row(families.graph_from_spec(spec), spec, time_budget))
     return (claim for name in selected for claim in GROUPS[name](table, named))

@@ -172,15 +172,8 @@ def _components(adj: Sequence[int], within: int) -> list[int]:
     return comps
 
 
-def is_connected_induced(g: Graph, s: int) -> bool:
-    """Whether the subgraph induced by the nonempty set ``s`` is connected."""
-    if s == 0:
-        raise ValueError("connectivity of the empty set is undefined")
-    return sum(_bfs_layers(g.adj, s & -s, s)) == s
-
-
 def is_connected(g: Graph) -> bool:
-    return is_connected_induced(g, g.full_mask)
+    return sum(_bfs_layers(g.adj, 1, g.full_mask)) == g.full_mask
 
 
 def diameter(g: Graph) -> int:

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -293,12 +294,13 @@ def game_values(g: Graph, predominated_sets: Iterable[int],
                 variant: Variant = Variant.DOMINATOR_START, pass_budget: int = 0,
                 time_budget: float | None = None) -> list[GameValue]:
     """The game's value with each predominated set in turn, from one search
-    whose memo they all share; ``time_budget`` applies to each solve."""
-    GameConfig(variant, pass_budget)  # a budget the variant does not admit raises here
+    whose memo they all share; ``time_budget`` applies to each solve.  The
+    union of the sets is checked before the first solve."""
+    sets = list(predominated_sets)
+    GameConfig(variant, pass_budget, functools.reduce(operator.or_, sets, 0)).validate_for(g)
     search, cls = _Search(g), _opening_class(variant)
     values = []
-    for pre in predominated_sets:
-        GameConfig(variant, pass_budget, pre).validate_for(g)
+    for pre in sets:
         search.restart(time_budget)
         values.append(search.remaining(0, pre, pass_budget, cls))
     return values

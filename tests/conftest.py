@@ -2,7 +2,9 @@ import pytest
 from hypothesis import strategies as st
 
 from cdgame.analysis import load_corpus
+from cdgame.engine import GameConfig
 from cdgame.graph import MAX_VERTICES, Graph, bits
+from cdgame.solver import ORACLE_CONFIGS
 
 
 # graph helpers the package itself has no use for
@@ -34,6 +36,14 @@ def closed_union(g: Graph, s: int) -> int:
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     return Graph(g.n, (full & ~g.adj[v] & ~(1 << v) for v in range(g.n)), g.labels)
+
+
+def oracle_configs(g: Graph) -> list[GameConfig]:
+    """Every oracle-sweep config for one graph, in the sweep's order: each
+    variant/budget pair of ``ORACLE_CONFIGS``, predominated ranging over
+    the empty set and then every singleton."""
+    return [GameConfig(variant, k, pre) for variant, k in ORACLE_CONFIGS
+            for pre in [0] + [1 << v for v in range(g.n)]]
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,5 @@
-"""Exact domination numbers by size-increasing subset search, and the
-vertex-list-to-mask helper the tests build sets with.
+"""Exact domination numbers by size-increasing subset search, induced
+connectivity, and the vertex-list-to-mask helper the tests build sets with.
 
 The package does not need these: the game's values come from the solver.
 The tests use them as independent bounds (γ ≤ γc ≤ the game's value).
@@ -8,7 +8,7 @@ The tests use them as independent bounds (γ ≤ γc ≤ the game's value).
 from itertools import combinations
 from typing import Iterable
 
-from cdgame.graph import Graph, closed_neighborhood_set, is_connected, is_connected_induced
+from cdgame.graph import Graph, closed_neighborhood_set, is_connected
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -17,6 +17,22 @@ def mask_of(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def is_connected_induced(g: Graph, s: int) -> bool:
+    """Whether the subgraph induced by the nonempty set ``s`` is connected,
+    by a breadth-first search of its own."""
+    if s == 0:
+        raise ValueError("connectivity of the empty set is undefined")
+    seen = frontier = s & -s
+    while frontier:
+        grow = 0
+        for v in range(g.n):
+            if frontier >> v & 1:
+                grow |= g.adj[v]
+        frontier = grow & s & ~seen
+        seen |= frontier
+    return seen == s
 
 
 def _is_dominating(g: Graph, s: int) -> bool:

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from cdgame import analysis
-from cdgame.analysis import FAIL, PASS, oracle_configs_for, run_suite
+from cdgame.analysis import FAIL, PASS, run_suite
 from cdgame.cli import _scan_one
 from cdgame.engine import GameConfig, Variant
 from cdgame.families import (circular_ladder, complete, cycle,
@@ -28,7 +28,7 @@ from cdgame.graph import (Graph, bits, diameter, has_universal_vertex,
                           is_join_some_noncomplete, is_join_two_noncomplete, join)
 from cdgame.solver import NEVER, game_value, naive_values, solve, solve_naive
 
-from .conftest import complement
+from .conftest import complement, oracle_configs
 from .graph6 import emit_graph6
 
 VD, VS = Variant.DOMINATOR_START, Variant.STALLER_START
@@ -292,7 +292,7 @@ def test_criterion_11_oracle_equivalence(corpus):
     failures = []
     for i, g in enumerate(corpus):
         walks = {pre: naive_values(g, pre) for pre in [0] + [1 << v for v in range(g.n)]}
-        for cfg in oracle_configs_for(g):
+        for cfg in oracle_configs(g):
             stats = {}
             report = solve(g, cfg)
             naive = solve_naive(g, cfg, stats)

@@ -127,26 +127,40 @@ def test_corpus_values_are_solved_once(monkeypatch):
 
 
 def test_named_values_are_solved_once(monkeypatch):
-    # a named graph's row is shared by every group that reads its spec,
-    # and each of its (variant, k) columns is one search
-    calls = Counter()
+    # a named graph's row is shared by every group that reads its spec, and
+    # a read solves only the sets its column lacks, with the empty set on
+    # the column's first read: each (graph, variant, k, set) is solved at
+    # most once, and only the values some claim reads
+    searches = []
     real = analysis.game_values
 
-    def counting(g, predominated_sets, variant=Variant.DOMINATOR_START,
-                 pass_budget=0, time_budget=None):
-        sets = list(predominated_sets)
-        assert sets == [0] + [1 << v for v in range(g.n)]
-        calls[g, variant, pass_budget] += 1
-        return real(g, sets, variant, pass_budget, time_budget)
+    def recording(g, predominated_sets, variant=Variant.DOMINATOR_START,
+                  pass_budget=0, time_budget=None):
+        searches.append((g, variant, pass_budget, list(predominated_sets)))
+        return real(g, searches[-1][3], variant, pass_budget, time_budget)
 
-    monkeypatch.setattr(analysis, "game_values", counting)
-    claims = list(run_suite(["paths-cycles", "ladders", "diameter"], corpus=[]))
-    specs = {c.instance for c in claims if c.instance != "corpus"}
-    assert "path:8" in specs and {"diameter/tight-d", "path/d"} <= {
-        c.claim for c in claims if c.instance == "path:8"}
-    assert set(calls.values()) == {1}
-    assert calls[path(8), Variant.DOMINATOR_START, 0] == 1
-    assert {g for g, _, _ in calls} == {graph_from_spec(spec) for spec in specs}
+    monkeypatch.setattr(analysis, "game_values", recording)
+    groups = ["paths-cycles", "ladders", "diameter", "lexicographic"]
+    claims = list(run_suite(groups, corpus=[]))
+    # rows are keyed by spec, and two specs may name equal graphs
+    # (path:2, complete:2), so a row is told apart by its graph object
+    solved = Counter((id(g), v, k, pre) for g, v, k, sets in searches for pre in sets)
+    assert set(solved.values()) == {1}
+
+    def searched(spec):
+        return [(v, k, sets) for g, v, k, sets in searches if g == graph_from_spec(spec)]
+
+    d, s = Variant.DOMINATOR_START, Variant.STALLER_START
+    # read by paths-cycles and diameter, d and s only
+    assert {"diameter/tight-d", "path/d"} <= {c.claim for c in claims if c.instance == "path:8"}
+    assert searched("path:8") == [(d, 0, [0]), (s, 0, [0])]
+    # a plain-only product row solves nothing but the empty set
+    assert searched("lex:cycle:5,path:4") == [(d, 0, [0]), (s, 0, [0])]
+    # per_vertex is one batch, after the plain read filled the empty set
+    assert searched("cycle:6") == [(d, 0, [0]), (d, 0, [1 << v for v in range(6)])]
+    specs = {c.instance.partition("|")[0] for c in claims if c.instance != "corpus"}
+    factors = {*analysis._LEX_LEFT, *analysis._LEX_RIGHT}
+    assert {g for g, *_ in searches} == {graph_from_spec(spec) for spec in specs | factors}
 
 
 def test_named_row_adds_a_larger_set_to_its_column(monkeypatch):
@@ -162,11 +176,20 @@ def test_named_row_adds_a_larger_set_to_its_column(monkeypatch):
     interior = 0b01110
     assert row.value(pre=interior) == solve_naive(row.g, GameConfig(predominated=interior))
     assert row.value(pre=interior) == NEVER
+    # the first read of a column adds the empty set, and no singleton
+    assert searched == [[0, interior]]
     assert row.per_vertex() == [2, 3, 3, 3, 2]
-    assert searched == [[0, 1, 2, 4, 8, 16, interior]]
-    # read once the column is full, a larger set is solved alone
+    assert searched[1:] == [[1, 2, 4, 8, 16]]
+    # a batch read solves only what the column lacks, in one search
     assert row.value(pre=0b00011) == solve_naive(row.g, GameConfig(predominated=0b00011)) == 1
-    assert searched[1:] == [[0b00011]]
+    assert row.values(Variant.DOMINATOR_START, 0, [0b00011, 0, 0b11000, 1]) == [1, 3, 1, 2]
+    assert searched[2:] == [[0b00011], [0b11000]]
+    # a corpus row fills the empty set and every singleton on a column's
+    # first read, whatever that read asks for
+    corpus_row = analysis._Row(row.g, "corpus[0]", None, (0, 1, 2, 4, 8, 16))
+    assert corpus_row.value(Variant.STALLER_START, pre=interior) == solve_naive(
+        row.g, GameConfig(Variant.STALLER_START, predominated=interior)) == NEVER
+    assert searched[4:] == [[0, 1, 2, 4, 8, 16, interior]]
 
 
 def test_named_instances_are_family_specs():

@@ -7,11 +7,11 @@ from cdgame.engine import (GameConfig, GameState, Player, Status,
                            initial_state, legal_moves, mover, mover_at, playable,
                            status)
 from cdgame.families import complete, cycle, path
-from cdgame.graph import Graph, bits, closed_neighborhood_set, is_connected_induced
+from cdgame.graph import Graph, bits, closed_neighborhood_set
 
 from .conftest import (CHUNK_EDGES, arbitrary_graphs, closed_union, connected_graphs,
                        vertex_sets, wide_graphs)
-from .domination import mask_of
+from .domination import is_connected_induced, mask_of
 
 D, S = Player.DOMINATOR, Player.STALLER
 

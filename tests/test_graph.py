@@ -7,15 +7,15 @@ from cdgame.families import complete, cycle, fan_chain, path, star
 from cdgame.graph import (Graph, bits, cartesian_product,
                           closed_neighborhood_set, cut_vertices, diameter,
                           has_universal_vertex, is_complete, is_connected,
-                          is_connected_induced, is_join_some_noncomplete,
-                          is_join_two_noncomplete, join, lexicographic_product,
-                          parse_graph6, read_graph6_file)
+                          is_join_some_noncomplete, is_join_two_noncomplete, join,
+                          lexicographic_product, parse_graph6, read_graph6_file)
 
 from .conftest import (CHUNK_EDGES, arbitrary_graphs, closed_union, complement,
                        connected_graphs, edge_count, edges, max_degree, vertex_sets,
                        wide_graphs)
-from .domination import (connected_domination_number, domination_number, mask_of,
-                         minimum_connected_dominating_set, minimum_dominating_set)
+from .domination import (connected_domination_number, domination_number,
+                         is_connected_induced, mask_of, minimum_connected_dominating_set,
+                         minimum_dominating_set)
 from .graph6 import emit_graph6
 
 
@@ -170,6 +170,17 @@ def test_cut_vertices_match_networkx(g):
     reference.add_nodes_from(range(g.n))
     reference.add_edges_from(edges(g))
     assert cut_vertices(g) == mask_of(nx.articulation_points(reference))
+
+
+@given(arbitrary_graphs())
+@example(complete(1))
+@example(Graph.from_edges(2, []))
+@settings(max_examples=300)
+def test_is_connected_matches_networkx(g):
+    reference = nx.Graph()
+    reference.add_nodes_from(range(g.n))
+    reference.add_edges_from(edges(g))
+    assert is_connected(g) == nx.is_connected(reference) == is_connected_induced(g, g.full_mask)
 
 
 def test_domination_numbers():

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdgame import solver
-from cdgame.analysis import oracle_configs_for, predomination_scan
+from cdgame.analysis import predomination_scan
 from cdgame.engine import (PASS, PASS_VARIANTS, GameConfig, GameState, Player,
                            Status, Variant, apply_move, apply_pass, legal_moves,
                            mover, mover_at, status)
@@ -16,7 +16,7 @@ from cdgame.solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, format_value, 
                            game_values, is_never, naive_values, optimal_move, solve,
                            solve_naive)
 
-from .conftest import arbitrary_graphs, connected_graphs
+from .conftest import arbitrary_graphs, connected_graphs, oracle_configs
 from .domination import connected_domination_number
 
 VD = Variant.DOMINATOR_START
@@ -233,6 +233,16 @@ def test_game_values_rejects_a_pass_budget_before_any_solve():
         game_values(path(4), [], Variant.STALLER_SKIPS_FIRST, 1)
 
 
+@pytest.mark.parametrize("late", [-1, 1 << 4, -(1 << 4)])
+def test_game_values_rejects_a_late_bad_set_before_any_solve(late):
+    # the whole batch is checked first: a negative set, or one holding a
+    # vertex outside the graph, raises before the search expands anything
+    with mock.patch.object(solver._Search, "remaining") as remaining:
+        with pytest.raises(ValueError):
+            game_values(path(4), [0, 0b0001, 0b0110, late])
+    remaining.assert_not_called()
+
+
 def test_budget_exceeded():
     g = circular_ladder(7)
     with pytest.raises(BudgetExceeded):
@@ -298,7 +308,7 @@ def test_naive_oracle_nodes_on_verify_slice(corpus):
     # verify slice, node for node
     total = 0
     for g in corpus[::8]:
-        for cfg in oracle_configs_for(g):
+        for cfg in oracle_configs(g):
             stats = {}
             solve_naive(g, cfg, stats)
             total += stats["nodes"]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache
-from importlib import resources
+from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import families
@@ -91,11 +91,12 @@ def _timed_claim(claim: str, instance: str, expected,
 
 def load_corpus(path=None) -> list[Graph]:
     """Graphs from a graph6 corpus file; the bundled corpus by default."""
-    if path is None:
-        ref = resources.files("cdgame").joinpath("data/graphs7.g6")
-        with resources.as_file(ref) as real:
-            return read_graph6_file(real)
-    return read_graph6_file(path)
+    return read_graph6_file(Path(__file__).parent / "data/graphs7.g6" if path is None else path)
+
+
+def _opening_sets(g: Graph) -> list[int]:
+    """The empty set, then every singleton in vertex order."""
+    return [0, *(1 << v for v in range(g.n))]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ class _Row:
     g: Graph
     name: str
     time_budget: float | None
-    fills: tuple[int, ...] = (0,)
+    fills: Sequence[int] = (0,)
     columns: dict[tuple[Variant, int], dict[int, GameValue]] = field(default_factory=dict)
 
     def values(self, variant: Variant, k: int, sets: Sequence[int]) -> list[GameValue]:
@@ -128,10 +129,9 @@ class _Row:
               pre: int = 0) -> GameValue:
         return self.values(variant, k, [pre])[0]
 
-    def per_vertex(self) -> list[GameValue]:
-        """The plain game's values with each single vertex predominated, in
-        vertex order."""
-        return self.values(Variant.DOMINATOR_START, 0, [1 << v for v in range(self.g.n)])
+    def opening(self) -> list[GameValue]:
+        """The plain game's values over :func:`_opening_sets`, in one read."""
+        return self.values(Variant.DOMINATOR_START, 0, _opening_sets(self.g))
 
 
 def _value_claim(claim: str, row: _Row, expected, variant: Variant = Variant.DOMINATOR_START,
@@ -168,7 +168,7 @@ def predomination_scan(g: Graph, time_budget: float | None = None) -> ScanResult
     solves are one :func:`game_values` call, so they share one search and
     memo; ``time_budget`` applies to each.
     """
-    base, *per_vertex = game_values(g, [0, *(1 << v for v in range(g.n))], time_budget=time_budget)
+    base, *per_vertex = game_values(g, _opening_sets(g), time_budget=time_budget)
     nevers = [v for v, val in enumerate(per_vertex) if is_never(val)]
     shifts = [] if is_never(base) else [int(val - base) for val in per_vertex
                                         if not is_never(val)]
@@ -227,7 +227,7 @@ def _pass(row: _Row):
 def _predomination(row: _Row):
     """Predominating a cut vertex never shortens the game, and some vertex
     predominates without lengthening it."""
-    base, per_vertex = row.value(), row.per_vertex()
+    base, *per_vertex = row.opening()
     for u in bits(cut_vertices(row.g)):
         yield "predomination/cut-vertex", f"{row.name}|{u}", per_vertex[u] >= base
     yield ("predomination/opening-not-worse", row.name,
@@ -239,7 +239,7 @@ def _oracle(row: _Row):
     with the naive oracle: one walk of the move tree per predominated set
     scores all of its configs, and the time budget bounds each walk.  Only
     the disagreements are yielded, one column at a time."""
-    sets = [0, *(1 << v for v in range(row.g.n))]
+    sets = _opening_sets(row.g)
     naive = [naive_values(row.g, pre, time_budget=row.time_budget) for pre in sets]
     for variant, k in ORACLE_CONFIGS:
         for pre, value, walk in zip(sets, row.values(variant, k, sets), naive):
@@ -276,8 +276,8 @@ def _group_paths_cycles(table, named) -> Iterator[ClaimResult]:
         yield _value_claim("path/s", row, n - 1, S)
     for n in range(4, 9):
         row = named(f"cycle:{n}")
-        yield _value_claim("cycle/d", row, n - 2)
-        yield _timed_claim("cycle/predominated", row.name, [n - 3] * n, row.per_vertex)
+        yield _timed_claim("cycle/d", row.name, n - 2, lambda: row.opening()[0])
+        yield _timed_claim("cycle/predominated", row.name, [n - 3] * n, lambda: row.opening()[1:])
 
 
 def _group_small_values(table, named) -> Iterator[ClaimResult]:
@@ -340,16 +340,13 @@ _LEX_RIGHT = ["complete:1", "complete:2", "complete:3", "path:3", "path:4", "cyc
 def _group_lexicographic(table, named) -> Iterator[ClaimResult]:
     """Exact composition values of G[H] for both starting players, plus the
     two-sided range bound for the Dominator-start game when it applies,
-    over the factor pairs with at most 20 vertices.  Past the time budget
+    over every pair of ``_LEX_LEFT`` and ``_LEX_RIGHT``.  Past the time budget
     the two case claims are reported with no expected value, since the
     expectations are solved too."""
     for g_name in _LEX_LEFT:
         g = named(g_name)
-        trivial = g.g.n == 1
         for h_name in _LEX_RIGHT:
             h = named(h_name)
-            if g.g.n * h.g.n > 20:
-                continue
             product = named(f"lex:{g_name},{h_name}")
             expected: dict[str, Any] = {"lex/d-case": None, "lex/s-case": None}
 
@@ -357,14 +354,9 @@ def _group_lexicographic(table, named) -> Iterator[ClaimResult]:
                 gd, hd, g_skip = g.value(), h.value(), g.value(D_SKIP)
                 gs, hs = g.value(S), h.value(S)
                 obs_d, obs_s = product.value(), product.value(S)
-                expected["lex/d-case"] = (hd if trivial else
-                                          gd if hd == 1 else
-                                          g_skip + 1)
-                expected["lex/s-case"] = (hs if trivial else
-                                          gs if gs >= 2 else
-                                          2 if hs >= 2 else
-                                          hs)
-                if hd >= 2 and not trivial:
+                expected["lex/d-case"] = gd if hd == 1 else g_skip + 1
+                expected["lex/s-case"] = gs if gs >= 2 else 2 if hs >= 2 else hs
+                if hd >= 2:
                     expected["lex/d-range"] = True
                     return obs_d, obs_s, gd <= obs_d <= gd + 2
                 return obs_d, obs_s
@@ -389,9 +381,9 @@ def _group_ladders(table, named) -> Iterator[ClaimResult]:
     for n in (4, 5, 6, 7):
         for tag, spec in (("circular", f"cl:{n}"), ("mobius", f"ml:{n}")):
             row = named(spec)
-            yield _value_claim(f"ladder/{tag}", row, 2 * (n - 2))
+            yield _timed_claim(f"ladder/{tag}", row.name, 2 * (n - 2), lambda: row.opening()[0])
             yield _timed_claim(f"ladder/{tag}-predominated", row.name,
-                               [2 * (n - 2) - 1] * row.g.n, row.per_vertex)
+                               [2 * (n - 2) - 1] * row.g.n, lambda: row.opening()[1:])
 
 
 def _group_oracle(table, named) -> Iterator[ClaimResult]:
@@ -430,7 +422,7 @@ def run_suite(names: Iterable[str] | None = None, corpus: list[Graph] | None = N
     unknown = [n for n in selected if n not in GROUPS]
     if unknown:
         raise ValueError(f"unknown claim groups: {', '.join(unknown)}")
-    table = cache(lambda: [_Row(g, f"corpus[{i}]", time_budget, (0, *(1 << v for v in range(g.n))))
+    table = cache(lambda: [_Row(g, f"corpus[{i}]", time_budget, _opening_sets(g))
                            for i, g in enumerate(load_corpus() if corpus is None else corpus)])
     named = cache(lambda spec: _Row(families.graph_from_spec(spec), spec, time_budget))
     return (claim for name in selected for claim in GROUPS[name](table, named))

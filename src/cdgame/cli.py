@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from contextlib import ExitStack
 
@@ -64,20 +65,11 @@ def _load_graph(args) -> Graph:
 
 def _predominated_mask(g: Graph, specs: list[str]) -> int:
     mask = 0
-    for chunk in specs:
-        # whole-argument labels first, so coordinate labels like (1,2) win
-        # over the comma-list shorthand
-        try:
-            mask |= 1 << g.vertex_by_label(chunk.strip())
-            continue
-        except KeyError:
-            pass
-        for name in chunk.split(","):
-            name = name.strip()
-            if not name:
-                continue
+    for spec in specs:
+        # a comma inside parentheses belongs to a coordinate label like (1,2)
+        for name in filter(str.strip, re.split(r",(?![^(]*\))", spec)):
             try:
-                mask |= 1 << g.vertex_by_label(name)
+                mask |= 1 << g.vertex_by_label(name.strip())
             except KeyError as exc:  # str() would quote the message
                 raise CliError(exc.args[0]) from None
     return mask

@@ -64,9 +64,7 @@ def doubling_gadget(n: int) -> Graph:
         raise ValueError("doubling gadget needs n >= 2")
     check_vertex_count(4 * n - 2)
     labels = [f"u{i}" for i in range(n + 1)]
-    labels += [f"x{i}" for i in range(1, n)]
-    labels += [f"y{i}" for i in range(1, n)]
-    labels += [f"z{i}" for i in range(1, n)]
+    labels += [f"{cell}{i}" for cell in "xyz" for i in range(1, n)]
     x0 = n + 1
     y0 = x0 + (n - 1)
     z0 = y0 + (n - 1)
@@ -127,12 +125,8 @@ def circular_ladder(n: int) -> Graph:
     if n < 3:
         raise ValueError("circular ladder needs n >= 3")
     check_vertex_count(2 * n)
-    edges = []
-    for a in range(n):
-        b = (a + 1) % n
-        edges += [(2 * a, 2 * b), (2 * a + 1, 2 * b + 1), (2 * a, 2 * a + 1)]
-    labels = [f"({a + 1},{j + 1})" for a in range(n) for j in range(2)]
-    return Graph.from_edges(2 * n, edges, labels)
+    g = cartesian_product(cycle(n), complete(2))
+    return Graph(g.n, g.adj, [f"({a + 1},{j + 1})" for a in range(n) for j in range(2)])
 
 
 def mobius_ladder(n: int) -> Graph:
@@ -176,8 +170,6 @@ def random_tree(n: int, seed: int) -> Graph:
     check_vertex_count(n)
     if n == 1:
         return Graph(1, [0])
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     rng = random.Random(seed)
     seq = [rng.randrange(n) for _ in range(n - 2)]
     degree = [1] * n

@@ -314,10 +314,14 @@ def parse_graph6(line: str) -> Graph:
 
 def read_graph6_lines(path) -> list[tuple[int, str, Graph]]:
     """``(line number, text, graph)`` for every nonempty line of a graph6
-    corpus file.  Each line is decoded on its own, so a non-ASCII byte,
-    like a malformed line, raises ``ValueError`` naming ``path:line``."""
+    corpus file.  A path that cannot be opened raises ``ValueError`` naming it,
+    and a non-ASCII or malformed line (each is decoded alone) one naming ``path:line``."""
     entries = []
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("ascii").strip()

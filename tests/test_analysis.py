@@ -156,8 +156,8 @@ def test_named_values_are_solved_once(monkeypatch):
     assert searched("path:8") == [(d, 0, [0]), (s, 0, [0])]
     # a plain-only product row solves nothing but the empty set
     assert searched("lex:cycle:5,path:4") == [(d, 0, [0]), (s, 0, [0])]
-    # per_vertex is one batch, after the plain read filled the empty set
-    assert searched("cycle:6") == [(d, 0, [0]), (d, 0, [1 << v for v in range(6)])]
+    # the plain read solves the empty set and every singleton in one search
+    assert searched("cycle:6") == [(d, 0, [0, *(1 << v for v in range(6))])]
     specs = {c.instance.partition("|")[0] for c in claims if c.instance != "corpus"}
     factors = {*analysis._LEX_LEFT, *analysis._LEX_RIGHT}
     assert {g for g, *_ in searches} == {graph_from_spec(spec) for spec in specs | factors}
@@ -178,7 +178,7 @@ def test_named_row_adds_a_larger_set_to_its_column(monkeypatch):
     assert row.value(pre=interior) == NEVER
     # the first read of a column adds the empty set, and no singleton
     assert searched == [[0, interior]]
-    assert row.per_vertex() == [2, 3, 3, 3, 2]
+    assert row.opening()[1:] == [2, 3, 3, 3, 2]
     assert searched[1:] == [[1, 2, 4, 8, 16]]
     # a batch read solves only what the column lacks, in one search
     assert row.value(pre=0b00011) == solve_naive(row.g, GameConfig(predominated=0b00011)) == 1

@@ -296,6 +296,16 @@ def test_solve_input_non_ascii_or_missing(tmp_path):
     assert "not found" in missing.stderr and "Traceback" not in missing.stderr
 
 
+@pytest.mark.parametrize("argv", [["scan", "--corpus"], ["verify", "--corpus"],
+                                  ["solve", "--input"], ["play", "--human", "d", "--input"]],
+                         ids=["scan", "verify", "solve", "play"])
+def test_directory_path_is_bad_input(tmp_path, argv):
+    out = run_cli(*argv, str(tmp_path))
+    assert out.returncode == 1
+    assert out.stderr == f"error: {tmp_path}: Is a directory\n"
+    assert "Traceback" not in out.stderr
+
+
 def test_verify_rejects_disconnected_corpus_graph(tmp_path):
     corpus = tmp_path / "split.g6"
     corpus.write_text("A_\n\nA?\n")  # K2, then 2K1
@@ -466,6 +476,12 @@ def test_predominate_label_forms():
     assert out.returncode == 2  # interior predomination sticks the d-game
     out = run_cli("solve", "--family", "path:5", "--predominate", "nosuch")
     assert out.returncode == 1
+    # a comma list of coordinate labels, like the repeated flag
+    listed = run_cli("solve", "--family", "cl:4", "--predominate", "(1,2),(2,1)")
+    repeated = run_cli("solve", "--family", "cl:4", "--predominate", "(1,2)",
+                       "--predominate", "(2,1)")
+    assert listed.returncode == 0 and "value = 3" in listed.stdout
+    assert listed.stdout.splitlines()[:2] == repeated.stdout.splitlines()[:2]
 
 
 def test_play_illegal_move_reprompted():

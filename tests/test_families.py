@@ -100,6 +100,7 @@ def test_predomination_penalty_graph():
 
 def test_random_tree():
     assert random_tree(1, 7).n == 1
+    assert all(random_tree(2, seed) == path(2) for seed in range(5))
     for seed in range(5):
         t = random_tree(9, seed)
         assert edge_count(t) == 8 and is_connected(t)

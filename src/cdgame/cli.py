@@ -335,6 +335,10 @@ def main(argv=None) -> int:
         # devnull so the flush at exit does not fail and print again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # an output that cannot be written, such as a full disk
+        print(f"error: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

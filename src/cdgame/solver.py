@@ -34,11 +34,11 @@ position is expanded again.  Dominator tries the moves that newly
 dominate the most vertices first and Staller the fewest, lowest vertex
 first on ties.
 
-An optimal move keeps a fixed tie-break, the lowest vertex that attains
-the value and a pass only when none does: after one full-window search
-for the value, each child is tested with a null window, a search whose
-window holds no integer and so only answers whether the child reaches
-the value.
+An optimal move, from the engine's config and state, keeps a fixed
+tie-break, the lowest vertex attaining the value and a pass only when
+none does: after one full-window search for the value, each child is
+tested with a null window, a search whose window holds no integer and
+so only answers whether the child reaches the value.
 
 :func:`optimal_move` keeps one search, memo included, per graph (labels
 aside), so every game's replies on a graph share one memo, also when
@@ -46,10 +46,10 @@ games on other graphs come between them.  The kept memos are held to
 :data:`KEPT_ENTRIES` entries in all, about 8 MB: after a reply the least
 recently used searches go first, and the current one is never dropped.
 
-``solve`` is the production path; ``solve_naive`` is a deliberately
-plain recursion with its own copy of the move rule (a frontier of the
-played vertices' neighbours carried down the recursion), no memo and no
-pruning, used to cross-check ``solve`` on small instances.
+``solve`` is the production path; the engine steps its line, each action
+through ``apply_move`` or ``apply_pass``.  ``solve_naive`` is a plain
+recursion with its own copy of the move rule (a frontier of the played
+vertices' neighbours), no memo and no pruning, to cross-check ``solve``.
 ``naive_values`` walks the same tree once for all eight oracle-sweep
 configs of a predominated set: unpruned, the tree does not depend on who
 moves, so each node returns its value for every mover and every number
@@ -68,7 +68,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .engine import PASS, GameConfig, GameState, Player, Variant, mover, mover_at, playable
+from .engine import (PASS, GameConfig, GameState, Player, Status, Variant, apply_move, apply_pass,
+                     initial_state, mover, mover_at, playable, status)
 from .graph import Graph, bits, closed_neighborhood_set
 
 NEVER = math.inf
@@ -219,15 +220,22 @@ class _Search:
         memo[key] = (lo, hi)
         return best
 
-    def best_action(self, reach: int, pre: int, passes_left: int, cls: int) -> int | str:
-        """Value-achieving action: lowest playable vertex first, pass only
-        if no vertex attains the value.  One full-window search finds the
-        value, then a null window around it tests each child in turn."""
+    def best_action(self, cfg: GameConfig, st: GameState) -> int | str:
+        """Value-achieving action at the engine's state ``st``: lowest
+        playable vertex first, pass only if no vertex attains the value.
+        One full-window search finds the value, then a null window around
+        it tests each child in turn."""
         g = self.g
-        dom = reach | pre
+        reach = closed_neighborhood_set(g, st.played)
+        dom = reach | cfg.predominated
         moves = playable(g, reach, dom)
         if not moves:
             raise ValueError("no legal action: the game is over")
+        passes_left = st.passes_left
+        if st.played or passes_left < cfg.pass_budget:  # past the opening, play alternates
+            cls = 2 if mover(cfg, st) is Player.DOMINATOR else 1
+        else:
+            cls = _opening_class(cfg.variant)
         target = self.remaining(reach, dom, passes_left, cls)
         staller = not cls & 2
         after = 2 if cls & 1 else 1
@@ -253,20 +261,6 @@ class _Search:
             return PASS
         raise ValueError("no legal action from this state")
 
-    def principal_line(self, reach: int, pre: int, passes_left: int,
-                       cls: int) -> list[tuple[Player, int | str]]:
-        """Optimal play from the position until the game is won or stuck."""
-        line = []
-        while playable(self.g, reach, reach | pre):
-            action = self.best_action(reach, pre, passes_left, cls)
-            line.append((Player.DOMINATOR if cls & 2 else Player.STALLER, action))
-            if action == PASS:
-                passes_left -= 1
-            else:
-                reach |= self.g.closed[action]
-            cls = 2 if cls & 1 else 1
-        return line
-
 
 def solve(g: Graph, cfg: GameConfig, time_budget: float | None = None) -> SolveReport:
     """Exact optimal value with one optimal line of play and search stats.
@@ -274,9 +268,13 @@ def solve(g: Graph, cfg: GameConfig, time_budget: float | None = None) -> SolveR
     Raises :class:`BudgetExceeded` when ``time_budget`` (seconds) runs out.
     """
     cfg.validate_for(g)
-    search, cls = _Search(g, time_budget), _opening_class(cfg.variant)
-    value = search.remaining(0, cfg.predominated, cfg.pass_budget, cls)
-    line = search.principal_line(0, cfg.predominated, cfg.pass_budget, cls)
+    search = _Search(g, time_budget)
+    value = search.remaining(0, cfg.predominated, cfg.pass_budget, _opening_class(cfg.variant))
+    line, st = [], initial_state(cfg)
+    while status(g, cfg, st) is Status.ONGOING:
+        action = search.best_action(cfg, st)
+        line.append((mover(cfg, st), action))
+        st = apply_pass(cfg, st) if action == PASS else apply_move(g, cfg, st, action)
     return SolveReport(value=value, principal_line=line,
                        states_expanded=search.expanded, memo_hits=search.hits,
                        memo_entries=len(search.memo),
@@ -325,12 +323,7 @@ def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     cfg.validate_for(g)
     search = _searches.pop(g, None) or _Search(g)
     _searches[g] = search
-    if st.played or st.passes_left < cfg.pass_budget:  # past the opening, play alternates
-        cls = 2 if mover(cfg, st) is Player.DOMINATOR else 1
-    else:
-        cls = _opening_class(cfg.variant)
-    reach = closed_neighborhood_set(g, st.played)
-    action = search.best_action(reach, cfg.predominated, st.passes_left, cls)
+    action = search.best_action(cfg, st)
     kept = sum(len(s.memo) for s in _searches.values())
     for old in list(_searches)[:-1]:
         if kept <= KEPT_ENTRIES:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import errno
 import io
 import json
 import os
@@ -195,6 +196,27 @@ def test_verify_into_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=300) == 1
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+CORPUS = str(ROOT / "src" / "cdgame" / "data" / "graphs7.g6")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("args, stdout_full", [
+    (("verify", "--only", "hamming", "--output", "/dev/full"), False),
+    (("scan", "--corpus", CORPUS, "--output", "/dev/full"), False),
+    (("solve", "--family", "path:5"), True),
+    (("verify", "--only", "hamming"), True),
+    (("scan", "--corpus", CORPUS, "--threads", "2"), True),
+], ids=["verify-output", "scan-output", "solve-stdout", "verify-stdout", "scan-pool-stdout"])
+def test_unwritable_output_exits_with_the_reason(args, stdout_full):
+    # /dev/full takes no byte: every write fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cdgame.cli", *args],
+                              stdout=full if stdout_full else subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True, env=CHILD_ENV, timeout=300)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_verify_missing_corpus():

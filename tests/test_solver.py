@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from cdgame import solver
 from cdgame.analysis import predomination_scan
 from cdgame.engine import (PASS, PASS_VARIANTS, GameConfig, GameState, Player,
-                           Status, Variant, apply_move, apply_pass, legal_moves,
-                           mover, mover_at, status)
+                           Status, Variant, apply_move, apply_pass, initial_state,
+                           legal_moves, mover, mover_at, status)
 from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
                              graph_from_spec, path, predomination_penalty_graph)
 from cdgame.graph import Graph, bits
@@ -174,6 +174,26 @@ def test_solve_output_is_pinned(spec, variant, k, pre, value, states, hits, line
     assert (report.states_expanded, report.memo_hits) == (states, hits)
     assert " ".join(f"{who.value}:{a if a == PASS else g.label(a)}"
                     for who, a in report.principal_line) == line
+
+
+@pytest.mark.parametrize("spec, variant, k, pre", [
+    ("fig3", VD, 0, "c"),
+    ("cl:5", VS, 1, None),  # Staller passes at the opening
+    ("path:5", VS, 0, "2"),  # NEVER after one move
+    ("gn:3", Variant.DOMINATOR_SKIPS_FIRST, 0, None),
+    ("cart:cycle:6,cycle:4", VS, 0, None),
+])
+def test_solve_line_is_the_optimal_move_replies(spec, variant, k, pre):
+    # solve's principal line and optimal_move, both sides replying from the
+    # opening, play the same game
+    g = graph_from_spec(spec)
+    cfg = GameConfig(variant, k, 0 if pre is None else 1 << g.vertex_by_label(pre))
+    line, st_ = [], initial_state(cfg)
+    while status(g, cfg, st_) is Status.ONGOING:
+        action = optimal_move(g, cfg, st_)
+        line.append((mover(cfg, st_), action))
+        st_ = apply_pass(cfg, st_) if action == PASS else apply_move(g, cfg, st_, action)
+    assert line and solve(g, cfg).principal_line == line
 
 
 # value, states expanded, memo hits and memo entries of three deep `d`

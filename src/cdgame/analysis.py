@@ -26,11 +26,10 @@ and never claims (non-)existence.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field
 from functools import cache
-from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import families
 from .engine import Variant
@@ -42,8 +41,8 @@ from .solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, GameValue, game_valu
 PASS, FAIL, BUDGET = "pass", "fail", "budget-exceeded"
 
 
-@dataclass
-class ClaimResult:
+class ClaimResult(NamedTuple):
+    """One claim's record; immutable, fields in record order."""
     claim: str
     instance: str
     expected: Any
@@ -52,7 +51,7 @@ class ClaimResult:
     elapsed: float = 0.0
 
     def to_record(self) -> dict:
-        record = {k: _jsonable(v) for k, v in vars(self).items()}
+        record = {k: _jsonable(v) for k, v in self._asdict().items()}
         record["elapsed"] = round(self.elapsed, 6)
         return record
 
@@ -91,7 +90,8 @@ def _timed_claim(claim: str, instance: str, expected,
 
 def load_corpus(path=None) -> list[Graph]:
     """Graphs from a graph6 corpus file; the bundled corpus by default."""
-    return read_graph6_file(Path(__file__).parent / "data/graphs7.g6" if path is None else path)
+    return read_graph6_file(os.path.join(os.path.dirname(__file__), "data", "graphs7.g6")
+                            if path is None else path)
 
 
 def _opening_sets(g: Graph) -> list[int]:
@@ -102,7 +102,6 @@ def _opening_sets(g: Graph) -> list[int]:
 # ---------------------------------------------------------------------------
 # the value table
 
-@dataclass
 class _Row:
     """Game values of one graph, named ``corpus[i]`` or by its family spec,
     by ``(variant, k)`` column and then predominated set.  A read solves
@@ -111,11 +110,11 @@ class _Row:
     set, and in a corpus row every singleton too, since its oracle and
     predomination claims read them all.  A solve past ``time_budget``
     adds none of that search's sets."""
-    g: Graph
-    name: str
-    time_budget: float | None
-    fills: Sequence[int] = (0,)
-    columns: dict[tuple[Variant, int], dict[int, GameValue]] = field(default_factory=dict)
+
+    def __init__(self, g: Graph, name: str, time_budget: float | None,
+                 fills: Sequence[int] = (0,)):
+        self.g, self.name, self.time_budget, self.fills = g, name, time_budget, fills
+        self.columns: dict[tuple[Variant, int], dict[int, GameValue]] = {}
 
     def values(self, variant: Variant, k: int, sets: Sequence[int]) -> list[GameValue]:
         column = self.columns.setdefault((variant, k), {})
@@ -142,19 +141,19 @@ def _value_claim(claim: str, row: _Row, expected, variant: Variant = Variant.DOM
     return _timed_claim(claim, row.name + labels, expected, lambda: row.value(variant, 0, pre))
 
 
-@dataclass
-class ScanResult:
-    """Per-vertex predomination survey of one graph."""
+class ScanResult(NamedTuple):
+    """Per-vertex predomination survey of one graph; immutable, fields in
+    record order."""
     value: GameValue
-    per_vertex: list[GameValue] = field(default_factory=list)
-    never_vertices: list[int] = field(default_factory=list)
-    max_increase: int | None = None
-    max_decrease: int | None = None
-    all_vertices_shift: bool = False
-    candidate: bool = False
+    per_vertex: list[GameValue]
+    never_vertices: list[int]
+    max_increase: int | None
+    max_decrease: int | None
+    all_vertices_shift: bool
+    candidate: bool
 
     def to_record(self) -> dict:
-        return {k: _jsonable(v) for k, v in vars(self).items()}
+        return {k: _jsonable(v) for k, v in self._asdict().items()}
 
 
 def predomination_scan(g: Graph, time_budget: float | None = None) -> ScanResult:

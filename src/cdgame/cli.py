@@ -19,8 +19,8 @@ import sys
 from contextlib import ExitStack
 
 from . import analysis, families
-from .engine import (PASS, GameConfig, GameState, Player, Status, Variant,
-                     apply_move, apply_pass, dominated, legal_moves, mover, status)
+from .engine import (PASS, GameConfig, GameState, Player, Status, Variant, apply_move,
+                     apply_pass, dominated, initial_state, legal_moves, mover, status)
 from .graph import Graph, is_connected, parse_graph6, read_graph6_lines
 from .solver import BudgetExceeded, format_value, is_never, optimal_move, solve
 
@@ -186,8 +186,8 @@ def cmd_scan(args) -> int:
     records = []
     with ExitStack() as stack:
         out = _open_output(stack, args.output) if args.output else sys.stdout
-        # a fork pool starts all its workers at once, so ask for no more than lines
-        workers = min(threads, len(jobs))
+        # a fork pool starts all its workers at once: no more than lines or CPUs
+        workers = min(threads, len(jobs), os.cpu_count() or 1)
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
@@ -241,7 +241,7 @@ def cmd_play(args) -> int:
     g = _load_graph(args)
     cfg = _config(g, args)
     human = Player.DOMINATOR if args.human == "d" else Player.STALLER
-    st = GameState(0, cfg.pass_budget)
+    st = initial_state(cfg)
     print(f"playing on {g.n} vertices; you are "
           f"{'Dominator' if human is Player.DOMINATOR else 'Staller'}")
     while True:
@@ -307,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--output", help="write scan records as JSON lines (default stdout)")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (default CDGAME_THREADS or 1)")
+                   help="worker processes, at most the CPU count "
+                        "(default CDGAME_THREADS or 1)")
     p.add_argument("--time-budget", type=float, default=60.0, metavar="S")
     p.set_defaults(func=cmd_scan)
 

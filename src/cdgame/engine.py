@@ -16,7 +16,7 @@ dominated from the start but still playable).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, closed_neighborhood_set
 
@@ -57,30 +57,32 @@ def mover_at(variant: Variant, t: int) -> Player:
     return Player.DOMINATOR if dom else Player.STALLER
 
 
-@dataclass(frozen=True)
-class GameConfig:
-    """Which game is played: variant, Staller pass budget, predominated set."""
-    variant: Variant = Variant.DOMINATOR_START
-    pass_budget: int = 0
-    predominated: int = 0
+class GameConfig(NamedTuple("_ConfigFields", [("variant", Variant), ("pass_budget", int),
+                                               ("predominated", int)])):
+    """Which game is played: variant, Staller pass budget, predominated set.
+    Immutable, with field-wise ``==`` and ``hash``; like any tuple it equals
+    the plain tuple of its fields.  ``__new__`` checks every construction and
+    unpickling (protocol 2 and up); ``_replace`` and ``_make`` skip it."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.pass_budget < 0:
+    def __new__(cls, variant: Variant = Variant.DOMINATOR_START, pass_budget: int = 0,
+                predominated: int = 0):
+        if pass_budget < 0:
             raise ValueError("pass budget must be nonnegative")
-        if self.pass_budget > 0 and self.variant not in PASS_VARIANTS:
+        if pass_budget > 0 and variant not in PASS_VARIANTS:
             raise ValueError("pass budget is only defined for the plain "
                              "Dominator-start and Staller-start games")
-        if self.predominated < 0:
+        if predominated < 0:
             raise ValueError("predominated set must be a nonnegative bitmask")
+        return tuple.__new__(cls, (variant, pass_budget, predominated))
 
     def validate_for(self, g: Graph) -> None:
         if self.predominated & ~g.full_mask:
             raise ValueError("predominated set contains vertices outside the graph")
 
 
-@dataclass(frozen=True)
-class GameState:
-    """Played set and remaining passes; everything else is derived."""
+class GameState(NamedTuple):
+    """Played set and remaining passes, immutable; everything else is derived."""
     played: int = 0
     passes_left: int = 0
 

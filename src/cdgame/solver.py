@@ -65,8 +65,7 @@ import functools
 import math
 import operator
 import time
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .engine import (PASS, GameConfig, GameState, Player, Status, Variant, apply_move, apply_pass,
                      initial_state, mover, mover_at, playable, status)
@@ -89,15 +88,14 @@ class BudgetExceeded(Exception):
     """Raised when a solve runs past its wall-clock deadline."""
 
 
-@dataclass
-class SolveReport:
-    """A solve's value, one optimal line and its search stats.
+class SolveReport(NamedTuple):
+    """A solve's value, one optimal line and its search stats; immutable.
     ``states_expanded`` counts every expansion, including a position's
     re-expansion under a new window, so ``memo_entries`` can be lower;
     ``memo_hits`` counts the lookups whose stored bounds settled the
     window."""
     value: GameValue
-    principal_line: list[tuple[Player, int | str]] = field(default_factory=list)
+    principal_line: list[tuple[Player, int | str]]
     states_expanded: int = 0
     memo_hits: int = 0
     memo_entries: int = 0

@@ -238,6 +238,17 @@ def test_predomination_scan_penalty_graph():
     assert record["per_vertex"][fig.vertex_by_label("c")] == 8
 
 
+def test_records_keep_their_key_order():
+    claim = analysis.ClaimResult("c", "path:4", 2, NEVER, FAIL, 0.1234567)
+    assert list(claim.to_record()) == ["claim", "instance", "expected", "observed",
+                                       "verdict", "elapsed"]
+    assert claim.to_record()["observed"] == "never" and claim.to_record()["elapsed"] == 0.123457
+    scan = analysis.ScanResult(2, [3, NEVER], [1], 1, None, False, False)
+    assert list(scan.to_record()) == ["value", "per_vertex", "never_vertices", "max_increase",
+                                      "max_decrease", "all_vertices_shift", "candidate"]
+    assert scan.to_record()["per_vertex"] == [3, "never"]
+
+
 def test_predomination_scan_stuck_base_game():
     # two isolated vertices: the plain game is stuck, yet predominating
     # either vertex lets one move finish it

@@ -366,6 +366,7 @@ def test_scan_threads_match_sequential(tmp_path, corpus):
 def test_scan_pool_starts_no_more_workers_than_lines(tmp_path, monkeypatch, capsys):
     # a stand-in pool records its size; no worker process is started
     started = []
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
 
     class Pool:
         def __init__(self, max_workers):
@@ -396,6 +397,16 @@ def test_scan_pool_starts_no_more_workers_than_lines(tmp_path, monkeypatch, caps
     one.write_text("A_\n")
     assert cli.main(["scan", "--corpus", str(one), "--threads", "16"]) == 0
     assert started == [3, 3]  # one line is scanned in this process
+    capsys.readouterr()
+    # no more workers than CPUs, and an unknown CPU count scans in this process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli.main(argv + ["--threads", "16"]) == 0
+    assert capsys.readouterr().out == serial
+    assert started == [3, 3, 2]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.main(argv + ["--threads", "16"]) == 0
+    assert capsys.readouterr().out == serial
+    assert started == [3, 3, 2]
 
 
 def test_importing_the_cli_loads_no_process_pool():
@@ -405,6 +416,17 @@ def test_importing_the_cli_loads_no_process_pool():
               "print(sorted({'concurrent.futures', 'logging', 'multiprocessing', 'queue'}"
               " & (set(sys.modules) - before)))")
     out = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert out.stdout == "[]\n"
+
+
+def test_importing_the_cli_generates_no_code():
+    # no dataclasses (and the inspect, ast and tokenize it pulls in) and no
+    # pathlib; -S keeps site's own imports out of the comparison
+    script = ("import sys; before = set(sys.modules); import cdgame.cli; "
+              "print(sorted({'ast', 'dataclasses', 'inspect', 'pathlib', 'tokenize'}"
+              " & (set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-S", "-c", script],
                          capture_output=True, text=True, env=CHILD_ENV, timeout=60)
     assert out.stdout == "[]\n"
 

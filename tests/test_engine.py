@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +45,44 @@ def test_config_validation():
     cfg = GameConfig(predominated=1 << 5)
     with pytest.raises(ValueError):
         cfg.validate_for(path(4))
+
+
+_ONLY_PLAIN = "pass budget is only defined for the plain Dominator-start and Staller-start games"
+
+
+@pytest.mark.parametrize("fields,message", [
+    ((Variant.DOMINATOR_START, -1, 0), "pass budget must be nonnegative"),
+    ((Variant.STALLER_SKIPS_FIRST, 1, 0), _ONLY_PLAIN),
+    ((Variant.DOMINATOR_SKIPS_FIRST, 2, 0), _ONLY_PLAIN),
+    ((Variant.STALLER_START, 0, -1), "predominated set must be a nonnegative bitmask"),
+])
+def test_config_checks_every_construction(fields, message):
+    variant, k, pre = fields
+    # _replace skips the checks, so it forges the bad config that is pickled
+    forged = GameConfig()._replace(variant=variant, pass_budget=k, predominated=pre)
+    makers = [lambda: GameConfig(*fields),
+              lambda: GameConfig(variant=variant, pass_budget=k, predominated=pre)]
+    makers += [lambda p=p: pickle.loads(pickle.dumps(forged, protocol=p))
+               for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for make in makers:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+
+def test_config_and_state_are_immutable_values():
+    cfg, st_ = GameConfig(Variant.STALLER_START, 1, 4), GameState(3, 1)
+    for obj, name in [(cfg, "variant"), (cfg, "pass_budget"), (cfg, "predominated"),
+                      (st_, "played"), (st_, "passes_left"), (cfg, "extra"), (st_, "extra")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 0)
+    same_cfg = GameConfig(variant=Variant.STALLER_START, pass_budget=1, predominated=4)
+    same_st = GameState(played=3, passes_left=1)
+    assert same_cfg == cfg and hash(same_cfg) == hash(cfg)
+    assert same_st == st_ and hash(same_st) == hash(st_)
+    assert GameConfig(Variant.STALLER_START, 1, 5) != cfg and GameState(3, 0) != st_
+    again = pickle.loads(pickle.dumps(cfg))
+    assert type(again) is GameConfig and again == cfg
+    assert GameConfig() == GameConfig(Variant.DOMINATOR_START, 0, 0)
 
 
 def test_playable_adjacency_and_opening_exemption():

@@ -61,9 +61,12 @@ class GameConfig(NamedTuple("_ConfigFields", [("variant", Variant), ("pass_budge
                                                ("predominated", int)])):
     """Which game is played: variant, Staller pass budget, predominated set.
     Immutable, with field-wise ``==`` and ``hash``; like any tuple it equals
-    the plain tuple of its fields.  ``__new__`` checks every construction and
-    unpickling (protocol 2 and up); ``_replace`` and ``_make`` skip it."""
+    the plain tuple of its fields.  ``__new__`` checks every construction and,
+    through ``__reduce__``, every unpickling; ``_replace`` and ``_make`` skip it."""
     __slots__ = ()
+
+    def __reduce__(self):
+        return GameConfig, tuple(self)
 
     def __new__(cls, variant: Variant = Variant.DOMINATOR_START, pass_budget: int = 0,
                 predominated: int = 0):

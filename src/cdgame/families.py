@@ -16,6 +16,7 @@ binary construction on two nested specs).
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 
@@ -125,8 +126,8 @@ def circular_ladder(n: int) -> Graph:
     if n < 3:
         raise ValueError("circular ladder needs n >= 3")
     check_vertex_count(2 * n)
-    g = cartesian_product(cycle(n), complete(2))
-    return Graph(g.n, g.adj, [f"({a + 1},{j + 1})" for a in range(n) for j in range(2)])
+    return cartesian_product(cycle(n), complete(2),
+                             [f"({a + 1},{j + 1})" for a in range(n) for j in range(2)])
 
 
 def mobius_ladder(n: int) -> Graph:
@@ -211,11 +212,15 @@ _COMBINATORS = {"lex": lexicographic_product, "cart": cartesian_product, "join":
 _TOKEN = re.compile(r"(?P<int>-?\d+)|(?P<tag>[^\W_]+)|.", re.DOTALL)
 
 
+@functools.lru_cache(maxsize=32)
 def graph_from_spec(text: str) -> Graph:
     """Parse and build a family spec like ``cl:5`` or ``lex:path:3,path:4``.
 
     The whole spec is parsed before any generator runs, so a syntax error
-    anywhere is reported ahead of a parameter a generator rejects.
+    anywhere is reported ahead of a parameter a generator rejects.  The
+    last 32 specs built are kept: naming one again returns the same
+    immutable graph, with the N[S] tables its searches built.  A spec
+    that raises is not kept, so it raises on every call.
     """
     text = text.strip()
     tokens = [(m.lastgroup or m.group(), m.group(), m.start())

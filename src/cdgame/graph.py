@@ -210,8 +210,9 @@ def join(g: Graph, h: Graph) -> Graph:
     return Graph(n, rows)
 
 
-def cartesian_product(g: Graph, h: Graph) -> Graph:
-    """Box product; vertex (a, b) gets index a * |V(h)| + b."""
+def cartesian_product(g: Graph, h: Graph, labels: Iterable[str] | None = None) -> Graph:
+    """Box product; vertex (a, b) gets index a * |V(h)| + b, and the label
+    ``labels[a * |V(h)| + b]`` when labels are given."""
     n = g.n * h.n
     if n > MAX_VERTICES:
         raise ValueError(f"product would have {n} > {MAX_VERTICES} vertices")
@@ -222,7 +223,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
             for a2 in bits(g.adj[a]):
                 row |= 1 << (a2 * h.n + b)
             rows.append(row)
-    return Graph(n, rows)
+    return Graph(n, rows, labels)
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:

@@ -13,16 +13,16 @@ now and bit 0 when Dominator moves next.  The opening class comes from
 :func:`engine.mover_at` at turns 1 and 2; every variant alternates after
 the opening exchange, so after any move or pass the class becomes
 ``2 if cls & 1 else 1``.  The memo is a transposition table of bounds
-``(lo, hi)`` on the vertex moves still to come, keyed on what decides
-them: ``dom``, the live frontier (the move mask itself: a dead frontier
-vertex never becomes live again, since ``dom`` only grows), the mover
-class and ``passes_left``, packed into one int as
-``((passes_left << 2 | cls) << n | live) << n | dom`` with the pass
-budget in the top field, since nothing bounds it.  An opening position's
-playable set holds an undominated vertex and a started position's never
-does, so the key needs no started flag.  No key names the variant, the
-pass budget or the predominated set, and bounds hold for every window,
-so one search and its memo serve every game on a graph.
+``(lo, hi)`` on the vertex moves still to come, keyed on the position
+itself, packed into one int as
+``((passes_left << 2 | cls) << n | reach) << n | dom`` with the pass
+budget in the top field, since nothing bounds it.  The key needs no
+N[S]: a stored bound answers before :func:`engine.playable` runs, and a
+vertex child's key is built from ``reach | N[v]`` and ``dom | N[v]``.
+``reach`` is empty only at the opening, so the key needs no started
+flag.  No key names the variant, the pass budget or the predominated
+set, and bounds hold for every window, so one search and its memo serve
+every game on a graph.
 
 The search is fail-soft alpha-beta (Dominator minimizes, Staller
 maximizes).  A position not yet dominated needs at least one more move,
@@ -33,6 +33,19 @@ window answers at once; otherwise it narrows the window before the
 position is expanded again.  Dominator tries the moves that newly
 dominate the most vertices first and Staller the fewest, lowest vertex
 first on ties.
+
+Before it searches any child, a node probes the entry of each vertex
+child (an enhanced transposition cutoff), but only where a child's
+stored bound can cut it off: at a Dominator node when ``alpha >= 2``,
+since every child that does not end the game is worth at least 2 there,
+by a child whose ``hi + 1 <= alpha``; at a Staller node when ``beta`` is
+finite, by a child whose ``lo + 1 >= beta``.  Elsewhere a probe could
+only cost a lookup.  A cutoff is stored in the node's entry, so every
+stored bound follows from the entries of its children.  The same pass
+scores in place the children a call would answer without the memo: a
+Dominator move that dominates everything left makes the node exactly 1,
+such a Staller move is worth 1, and when ``beta <= 2`` every other vertex
+child is worth 2.  The pass child is never probed.
 
 An optimal move, from the engine's config and state, keeps a fixed
 tie-break, the lowest vertex attaining the value and a pass only when
@@ -93,7 +106,8 @@ class SolveReport(NamedTuple):
     ``states_expanded`` counts every expansion, including a position's
     re-expansion under a new window, so ``memo_entries`` can be lower;
     ``memo_hits`` counts the lookups whose stored bounds settled the
-    window."""
+    window, a child's probed bound that cuts off its parent included (the
+    parent still counts as expanded)."""
     value: GameValue
     principal_line: list[tuple[Player, int | str]]
     states_expanded: int = 0
@@ -139,11 +153,8 @@ class _Search:
             return 0
         if beta <= 1:  # an undominated position needs a move, or is NEVER
             return 1
-        live = playable(g, reach, dom)
-        if not live:
-            return NEVER
         n = g.n
-        key = ((passes_left << 2 | cls) << n | live) << n | dom
+        key = ((passes_left << 2 | cls) << n | reach) << n | dom
         memo = self.memo
         entry = memo.get(key)
         if entry is None:
@@ -156,6 +167,9 @@ class _Search:
             if hi <= alpha:
                 self.hits += 1
                 return hi
+        live = playable(g, reach, dom)
+        if not live:
+            return NEVER
         if alpha < lo:
             alpha = lo
         if beta > hi:
@@ -166,22 +180,47 @@ class _Search:
                 raise BudgetExceeded
         dominator = cls & 2
         after = 2 if cls & 1 else 1
+        head = (passes_left << 2 | after) << n  # the top of every vertex child's key
         closed = g.closed
+        probe = alpha >= 2 if dominator else beta < NEVER  # can a child's bound cut?
         # Dominator tries the moves that newly dominate the most first,
         # Staller the fewest; each packed as rank << 6 | v, so ties go to
         # the lowest vertex
         undom = full & ~dom
+        left = undom.bit_count()
+        finish = 0  # a Staller move that dominates everything left, worth 1
         order = []
         moves = live
         while moves:
             low = moves & -moves
             moves ^= low
             v = low.bit_length() - 1
-            gain = (closed[v] & undom).bit_count()
+            near = closed[v]
+            gain = (near & undom).bit_count()
+            if gain == left:  # v dominates everything left
+                if dominator:
+                    memo[key] = (1, 1)
+                    return 1
+                finish = 1
+                continue
+            if probe:
+                entry = memo.get((head | reach | near) << n | dom | near)
+                if entry is not None:
+                    if dominator:
+                        if entry[1] < alpha:
+                            self.hits += 1
+                            memo[key] = (lo, entry[1] + 1)
+                            return entry[1] + 1
+                    elif entry[0] + 1 >= beta:
+                        self.hits += 1
+                        memo[key] = (entry[0] + 1, hi)
+                        return entry[0] + 1
             order.append((64 - gain if dominator else gain) << 6 | v)
         order.sort()
         window_lo, window_hi = alpha, beta
-        if dominator:
+        if beta <= 2 and order:  # every vertex child is worth 2 then
+            best = 2
+        elif dominator:
             best = NEVER
             for m in order:
                 near = closed[m & 63]
@@ -194,7 +233,7 @@ class _Search:
                     if best < beta:
                         beta = best
         else:
-            best = 0
+            best = finish
             for m in order:
                 near = closed[m & 63]
                 child = 1 + self.remaining(reach | near, dom | near, passes_left, after,

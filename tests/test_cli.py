@@ -38,8 +38,8 @@ def test_solve_reports_search_stats():
     out = run_cli("solve", "--family", "cart:path:4,path:5")
     assert out.returncode == 0
     stats = out.stdout.splitlines()[2]
-    assert stats.startswith("states expanded = 1545, memo hits = 1673, "
-                            "memo entries = 1118, states/s = ")
+    assert stats.startswith("states expanded = 1069, memo hits = 1133, "
+                            "memo entries = 871, states/s = ")
     assert stats.endswith(" s")
 
 

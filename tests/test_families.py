@@ -7,8 +7,8 @@ from cdgame.families import (FamilySpecError, circular_ladder, complete, cycle,
                              doubling_gadget, fan_chain, graph_from_spec,
                              hamming, hat_chain, mobius_ladder, path,
                              predomination_penalty_graph, random_tree, star)
-from cdgame.graph import (cartesian_product, diameter, has_universal_vertex,
-                          is_connected, join, lexicographic_product)
+from cdgame.graph import (cartesian_product, closed_neighborhood_set, diameter,
+                          has_universal_vertex, is_connected, join, lexicographic_product)
 
 from .conftest import edge_count, max_degree
 
@@ -214,6 +214,25 @@ def test_oversize_spec_is_rejected_before_building(spec, monkeypatch):
     monkeypatch.setattr(families.Graph, "from_edges", unbuilt)
     with pytest.raises(ValueError, match=r"vertex count must be in 1\.\.64"):
         graph_from_spec(spec)
+
+
+def test_repeated_spec_returns_the_same_graph():
+    g = graph_from_spec("cart:cycle:5,path:4")
+    closed_neighborhood_set(g, 1)  # builds the N[S] tables
+    tables = g._union_tables
+    again = graph_from_spec("cart:cycle:5,path:4")
+    assert again is g and again._union_tables is tables
+    # equal graphs named by different specs stay different objects
+    p2, k2 = graph_from_spec("path:2"), graph_from_spec("complete:2")
+    assert p2 == k2 and p2 is not k2
+    assert graph_from_spec("path:2") is p2 and graph_from_spec("complete:2") is k2
+
+
+@pytest.mark.parametrize("spec", ["cycle:2", "path:65", "cl:33", "lex:path:3", "cl:x"])
+def test_bad_spec_raises_on_every_call(spec):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            graph_from_spec(spec)
 
 
 def test_generators_yield_valid_connected_graphs():

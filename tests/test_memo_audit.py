@@ -29,32 +29,31 @@ def unjustified(g: Graph, memo: dict) -> list[int]:
     """The keys of ``memo`` whose bounds do not follow from their children's."""
     n, full, closed = g.n, g.full_mask, g.closed
 
-    def bounds(dom, live, cls, passes_left):
+    def live(reach, dom):
+        return (reach or full) & closed_union(g, full & ~dom)
+
+    def bounds(dom, reach, cls, passes_left):
         if dom == full:
             return 0, 0
-        if not live:
+        if not live(reach, dom):
             return NEVER, NEVER
-        return memo.get(((passes_left << 2 | cls) << n | live) << n | dom, (1, NEVER))
+        return memo.get(((passes_left << 2 | cls) << n | reach) << n | dom, (1, NEVER))
 
     bad = []
     for key, (lo, hi) in memo.items():
-        dom, live = key & full, key >> n & full
+        dom, reach = key & full, key >> n & full
         cls, passes_left = key >> 2 * n & 3, key >> 2 * n + 2
         after = 2 if cls & 1 else 1
-        opening = live & ~dom  # only the opening can pick an undominated vertex
         children = []
-        for v in bits(live):
-            child_dom = dom | closed[v]
-            child_live = (closed[v] if opening else live | closed[v]) & closed_union(
-                g, full & ~child_dom)
-            child_lo, child_hi = bounds(child_dom, child_live, after, passes_left)
+        for v in bits(live(reach, dom)):
+            child_lo, child_hi = bounds(dom | closed[v], reach | closed[v], after, passes_left)
             children.append((child_lo + 1, child_hi + 1))
         if cls & 2:
             best = min
         else:
             best = max
             if passes_left:
-                children.append(bounds(dom, live, after, passes_left - 1))
+                children.append(bounds(dom, reach, after, passes_left - 1))
         if not (lo <= best(c[0] for c in children) and hi >= best(c[1] for c in children)):
             bad.append(key)
     return bad
@@ -64,8 +63,7 @@ def root_key(g: Graph, cfg: GameConfig) -> int:
     """The memo key of the opening position of ``cfg``'s game."""
     cls = ((mover_at(cfg.variant, 1) is Player.DOMINATOR) << 1
            | (mover_at(cfg.variant, 2) is Player.DOMINATOR))
-    live = closed_union(g, g.full_mask & ~cfg.predominated)
-    return ((cfg.pass_budget << 2 | cls) << g.n | live) << g.n | cfg.predominated
+    return (cfg.pass_budget << 2 | cls) << 2 * g.n | cfg.predominated
 
 
 def solve_with_memo(g: Graph, cfg: GameConfig):

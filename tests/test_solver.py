@@ -18,6 +18,7 @@ from cdgame.solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, format_value, 
 
 from .conftest import arbitrary_graphs, connected_graphs, oracle_configs
 from .domination import connected_domination_number
+from .test_memo_audit import audit, solve_with_memo
 
 VD = Variant.DOMINATOR_START
 VS = Variant.STALLER_START
@@ -150,17 +151,17 @@ def test_deterministic_reports():
 # value, states expanded, memo hits and principal line of `cdgame solve` on
 # seven instances; a change to the search must reproduce all four exactly
 _SOLVE_GATE = [
-    ("cart:path:4,path:5", VD, 0, None, 11, 1545, 1673,
+    ("cart:path:4,path:5", VD, 0, None, 11, 1069, 1133,
      "D:6 S:1 D:7 S:2 D:11 S:3 D:8 S:9 D:16 S:13 D:14"),
-    ("fan:3,8", VS, 1, None, 7, 88, 57,
+    ("fan:3,8", VS, 1, None, 7, 85, 55,
      "S:r1 D:h1 S:r7 D:h2 S:pass D:r13 S:r14 D:h3"),
-    ("cl:6", Variant.STALLER_SKIPS_FIRST, 0, None, 7, 157, 76,
+    ("cl:6", Variant.STALLER_SKIPS_FIRST, 0, None, 7, 152, 84,
      "D:(1,1) D:(1,2) S:(2,1) D:(2,2) S:(3,1) D:(4,1) S:(4,2)"),
-    ("fig3", VD, 0, "c", 8, 43, 27, "D:b S:a D:c S:d D:e S:e' D:f S:g"),
-    ("gn:3", VD, 2, None, 3, 24, 7, "D:u3 S:u2 D:u1"),
-    ("cart:path:5,path:5", VD, 0, None, 14, 6437, 9378,
+    ("fig3", VD, 0, "c", 8, 42, 28, "D:b S:a D:c S:d D:e S:e' D:f S:g"),
+    ("gn:3", VD, 2, None, 3, 24, 9, "D:u3 S:u2 D:u1"),
+    ("cart:path:5,path:5", VD, 0, None, 14, 4295, 5514,
      "D:6 S:1 D:11 S:10 D:12 S:2 D:3 S:4 D:17 S:9 D:15 S:14 D:22 S:19"),
-    ("cart:path:6,path:5", VD, 0, None, 17, 27944, 61270,
+    ("cart:path:6,path:5", VD, 0, None, 17, 17082, 30198,
      "D:6 S:1 D:11 S:2 D:3 S:4 D:12 S:9 D:16 S:13 D:18 S:15 D:21 S:19 D:26 S:23 D:24"),
 ]
 
@@ -197,21 +198,25 @@ def test_solve_line_is_the_optimal_move_replies(spec, variant, k, pre):
 
 
 # value, states expanded, memo hits and memo entries of three deep `d`
-# solves; about a minute of search, so only `pytest -m slow` runs them
+# solves, each finished memo audited as a proof of the value; so only
+# `pytest -m slow` runs them.  The CI job that does is bounded at 15
+# minutes; on a 2-CPU Xeon under Python 3.11 the three take about 1.5.
 _DEEP_LADDER = [
-    ("cart:path:6,path:6", 21, 206439, 600134, 144989),
-    ("cart:cycle:6,cycle:6", 19, 1055066, 3579461, 711998),
-    ("cart:path:7,path:6", 25, 1939859, 7145637, 1330722),
+    ("cart:path:6,path:6", 21, 125032, 272700, 98076),
+    ("cart:cycle:6,cycle:6", 19, 615213, 1462432, 483714),
+    ("cart:path:7,path:6", 25, 1094086, 2769536, 856353),
 ]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("spec, value, states, hits, entries", _DEEP_LADDER)
 def test_deep_ladder_is_pinned(spec, value, states, hits, entries):
-    report = solve(graph_from_spec(spec), GameConfig(VD))
+    g, cfg = graph_from_spec(spec), GameConfig(VD)
+    report, memo = solve_with_memo(g, cfg)
     assert report.value == value
     assert (report.states_expanded, report.memo_hits, report.memo_entries) == (
         states, hits, entries)
+    audit(g, cfg, report, memo)
 
 
 @pytest.mark.parametrize("variant", list(Variant))

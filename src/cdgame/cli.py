@@ -331,13 +331,10 @@ def main(argv=None) -> int:
         return 1
     except KeyboardInterrupt:
         return 130
-    except BrokenPipeError:
-        # the reader left (``cdgame scan ... | head``); point stdout at
-        # devnull so the flush at exit does not fail and print again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
     except OSError as exc:  # an output that cannot be written, such as a full disk
-        print(f"error: {exc.strerror or exc}", file=sys.stderr)
+        if not isinstance(exc, BrokenPipeError):  # else the reader left (``scan ... | head``)
+            print(f"error: {exc.strerror or exc}", file=sys.stderr)
+        # point stdout at devnull so the flush at exit does not fail and print again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 

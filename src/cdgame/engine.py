@@ -42,18 +42,21 @@ class Variant(enum.Enum):
 PASS_VARIANTS = (Variant.DOMINATOR_START, Variant.STALLER_START)
 
 
+#: each variant's opening, as the 2-bit mover class of turn 1: bit 1 is set
+#: when Dominator moves now and bit 0 when Dominator moves next; play
+#: alternates after that
+OPENING_CLASS = {Variant.DOMINATOR_START: 0b10, Variant.STALLER_START: 0b01,
+                 Variant.STALLER_SKIPS_FIRST: 0b11, Variant.DOMINATOR_SKIPS_FIRST: 0b00}
+
+
 def mover_at(variant: Variant, t: int) -> Player:
-    """Player making the t-th move of the game (t >= 1, passes included)."""
+    """Player making the t-th move of the game (t >= 1, passes included):
+    turn 1 is bit 1 of the opening class, and from turn 2 on Dominator
+    moves on the even turns when bit 0 is set, on the odd turns when not."""
     if t < 1:
         raise ValueError("turn index starts at 1")
-    if variant is Variant.DOMINATOR_START:
-        dom = t % 2 == 1
-    elif variant is Variant.STALLER_START:
-        dom = t % 2 == 0
-    elif variant is Variant.STALLER_SKIPS_FIRST:
-        dom = t <= 2 or t % 2 == 0
-    else:
-        dom = t > 2 and t % 2 == 1
+    cls = OPENING_CLASS[variant]
+    dom = cls & 2 if t == 1 else (cls & 1) == (t % 2 == 0)
     return Player.DOMINATOR if dom else Player.STALLER
 
 

@@ -2,8 +2,9 @@
 
 A vertex set is a plain Python int used as a bitmask (bit v set means
 vertex v is in the set), so set algebra is machine-word arithmetic and a
-solver memo key is a tuple of ints.  A ``Graph`` is immutable: vertex
-count ``n``, per-vertex adjacency masks, and optional display labels.
+solver memo key packs a whole position into one int.  A ``Graph`` is
+immutable: vertex count ``n``, per-vertex adjacency masks, and optional
+display labels.
 
 N[S] is read from tables a graph builds on first use: N[S] for every
 subset S of each 8-vertex chunk, so a union costs one lookup per chunk.
@@ -78,8 +79,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n, rows, labels)

@@ -9,9 +9,9 @@ The search walks one position ``(reach, passes_left, class)``, where
 ``reach`` is N[played]: the dominated set ``dom`` is ``reach`` plus the
 predominated set, and the moves are the bits of :func:`engine.playable`
 of the two.  The 2-bit mover class has bit 1 set when Dominator moves
-now and bit 0 when Dominator moves next.  The opening class comes from
-:func:`engine.mover_at` at turns 1 and 2; every variant alternates after
-the opening exchange, so after any move or pass the class becomes
+now and bit 0 when Dominator moves next.  The opening class is the
+variant's entry in :data:`engine.OPENING_CLASS`; every variant alternates
+after the opening exchange, so after any move or pass the class becomes
 ``2 if cls & 1 else 1``.  The memo is a transposition table of bounds
 ``(lo, hi)`` on the vertex moves still to come, keyed on the position
 itself, packed into one int as
@@ -41,11 +41,14 @@ since every child that does not end the game is worth at least 2 there,
 by a child whose ``hi + 1 <= alpha``; at a Staller node when ``beta`` is
 finite, by a child whose ``lo + 1 >= beta``.  Elsewhere a probe could
 only cost a lookup.  A cutoff is stored in the node's entry, so every
-stored bound follows from the entries of its children.  The same pass
-scores in place the children a call would answer without the memo: a
-Dominator move that dominates everything left makes the node exactly 1,
-such a Staller move is worth 1, and when ``beta <= 2`` every other vertex
-child is worth 2.  The pass child is never probed.
+stored bound follows from the entries of its children.  The pass child is
+never probed.  One child alone is scored in place: a Dominator move that
+dominates everything left makes the node exactly 1, stored as ``(1, 1)``
+before any child is searched, a cut that changes what the memo holds.
+Every other child is searched through :meth:`_Search.remaining`, whose
+first two checks answer at once, with no counter or memo: 0 for a
+Staller move that dominates everything left, and 1 for every other child
+once the node's ``beta <= 2``.
 
 An optimal move, from the engine's config and state, keeps a fixed
 tie-break, the lowest vertex attaining the value and a pass only when
@@ -80,8 +83,8 @@ import operator
 import time
 from typing import Iterable, NamedTuple
 
-from .engine import (PASS, GameConfig, GameState, Player, Status, Variant, apply_move, apply_pass,
-                     initial_state, mover, mover_at, playable, status)
+from .engine import (OPENING_CLASS, PASS, GameConfig, GameState, Player, Status, Variant,
+                     apply_move, apply_pass, initial_state, mover, mover_at, playable, status)
 from .graph import Graph, bits, closed_neighborhood_set
 
 NEVER = math.inf
@@ -114,12 +117,6 @@ class SolveReport(NamedTuple):
     memo_hits: int = 0
     memo_entries: int = 0
     elapsed: float = 0.0
-
-
-def _opening_class(variant: Variant) -> int:
-    """The mover class of turn 1, from the movers of turns 1 and 2."""
-    return ((mover_at(variant, 1) is Player.DOMINATOR) << 1
-            | (mover_at(variant, 2) is Player.DOMINATOR))
 
 
 class _Search:
@@ -188,7 +185,6 @@ class _Search:
         # the lowest vertex
         undom = full & ~dom
         left = undom.bit_count()
-        finish = 0  # a Staller move that dominates everything left, worth 1
         order = []
         moves = live
         while moves:
@@ -197,12 +193,9 @@ class _Search:
             v = low.bit_length() - 1
             near = closed[v]
             gain = (near & undom).bit_count()
-            if gain == left:  # v dominates everything left
-                if dominator:
-                    memo[key] = (1, 1)
-                    return 1
-                finish = 1
-                continue
+            if dominator and gain == left:  # v dominates everything left
+                memo[key] = (1, 1)
+                return 1
             if probe:
                 entry = memo.get((head | reach | near) << n | dom | near)
                 if entry is not None:
@@ -218,9 +211,7 @@ class _Search:
             order.append((64 - gain if dominator else gain) << 6 | v)
         order.sort()
         window_lo, window_hi = alpha, beta
-        if beta <= 2 and order:  # every vertex child is worth 2 then
-            best = 2
-        elif dominator:
+        if dominator:
             best = NEVER
             for m in order:
                 near = closed[m & 63]
@@ -233,7 +224,7 @@ class _Search:
                     if best < beta:
                         beta = best
         else:
-            best = finish
+            best = 0  # below every child, as each is at least 1
             for m in order:
                 near = closed[m & 63]
                 child = 1 + self.remaining(reach | near, dom | near, passes_left, after,
@@ -272,7 +263,7 @@ class _Search:
         if st.played or passes_left < cfg.pass_budget:  # past the opening, play alternates
             cls = 2 if mover(cfg, st) is Player.DOMINATOR else 1
         else:
-            cls = _opening_class(cfg.variant)
+            cls = OPENING_CLASS[cfg.variant]
         target = self.remaining(reach, dom, passes_left, cls)
         staller = not cls & 2
         after = 2 if cls & 1 else 1
@@ -306,7 +297,7 @@ def solve(g: Graph, cfg: GameConfig, time_budget: float | None = None) -> SolveR
     """
     cfg.validate_for(g)
     search = _Search(g, time_budget)
-    value = search.remaining(0, cfg.predominated, cfg.pass_budget, _opening_class(cfg.variant))
+    value = search.remaining(0, cfg.predominated, cfg.pass_budget, OPENING_CLASS[cfg.variant])
     line, st = [], initial_state(cfg)
     while status(g, cfg, st) is Status.ONGOING:
         action = search.best_action(cfg, st)
@@ -333,7 +324,7 @@ def game_values(g: Graph, predominated_sets: Iterable[int],
     union of the sets is checked before the first solve."""
     sets = list(predominated_sets)
     GameConfig(variant, pass_budget, functools.reduce(operator.or_, sets, 0)).validate_for(g)
-    search, cls = _Search(g), _opening_class(variant)
+    search, cls = _Search(g), OPENING_CLASS[variant]
     values = []
     for pre in sets:
         search.restart(time_budget)

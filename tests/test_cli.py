@@ -135,6 +135,14 @@ def test_verify_records_match_benchmark_reference(tmp_path, capsys):
         assert {k: v for k, v in rec.items() if k != "elapsed"} == ref
 
 
+@pytest.mark.parametrize("threads", [[], ["--threads", "2"]])
+def test_scan_of_bundled_corpus_matches_reference(threads):
+    # the benchmark's bundled scan reference, byte for byte, serial or pooled
+    out = run_cli("scan", "--corpus", str(ROOT / "src/cdgame/data/graphs7.g6"), *threads)
+    assert out.returncode == 0
+    assert out.stdout == (ROOT / "perfbench/reference/scan-bundled.jsonl").read_text()
+
+
 def test_interrupted_verify_keeps_its_finished_prefix(tmp_path, monkeypatch, capsys):
     def interrupted(table, named):
         raise KeyboardInterrupt

@@ -27,6 +27,15 @@ D, S = Player.DOMINATOR, Player.STALLER
 ])
 def test_mover_at(variant, expected):
     assert [mover_at(variant, t) for t in range(1, 7)] == expected
+    # each variant's turn rule written out on its own, against the opening table
+    dominator_moves = {
+        Variant.DOMINATOR_START: lambda t: t % 2 == 1,
+        Variant.STALLER_START: lambda t: t % 2 == 0,
+        Variant.STALLER_SKIPS_FIRST: lambda t: t <= 2 or t % 2 == 0,
+        Variant.DOMINATOR_SKIPS_FIRST: lambda t: t > 2 and t % 2 == 1,
+    }[variant]
+    assert [mover_at(variant, t) for t in range(1, 101)] == [
+        D if dominator_moves(t) else S for t in range(1, 101)]
 
 
 def test_mover_at_rejects_zero():

@@ -34,6 +34,11 @@ def test_construction_rejects_bad_graphs():
         Graph.from_edges(3, [(0, 3)])
 
 
+def test_from_edges_rejects_a_self_loop():
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph.from_edges(3, [(1, 1)])
+
+
 def test_closed_neighborhood():
     assert path(3).closed[1] == 0b111
     k5 = complete(5)

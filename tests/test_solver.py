@@ -1,12 +1,12 @@
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdgame import solver
 from cdgame.analysis import predomination_scan
-from cdgame.engine import (PASS, PASS_VARIANTS, GameConfig, GameState, Player,
+from cdgame.engine import (OPENING_CLASS, PASS, PASS_VARIANTS, GameConfig, GameState, Player,
                            Status, Variant, apply_move, apply_pass, initial_state,
                            legal_moves, mover, mover_at, status)
 from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
@@ -16,7 +16,7 @@ from cdgame.solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, format_value, 
                            game_values, is_never, naive_values, optimal_move, solve,
                            solve_naive)
 
-from .conftest import arbitrary_graphs, connected_graphs, oracle_configs
+from .conftest import arbitrary_graphs, closed_union, connected_graphs, oracle_configs
 from .domination import connected_domination_number
 from .test_memo_audit import audit, solve_with_memo
 
@@ -225,7 +225,7 @@ def test_mover_table_matches_mover_at(variant):
     # opening class on, for every pass budget the variant allows
     for g in (complete(1), path(5)):
         for k in range(3 if variant in PASS_VARIANTS else 1):
-            cls, table = solver._opening_class(variant), []
+            cls, table = OPENING_CLASS[variant], []
             for _ in range(g.n + k + 1):
                 table.append(Player.DOMINATOR if cls & 2 else Player.STALLER)
                 cls = 2 if cls & 1 else 1
@@ -556,6 +556,50 @@ def test_optimal_move_matches_brute_force(g, variant_budget, pre_bits, choices):
             break
         pos = nxt
     assert optimal_move(g, cfg, pos) == _brute_move(g, cfg, pos.played, pos.passes_left)
+
+
+_BOUNDS = st.sampled_from([*range(-1, 8), NEVER])
+
+
+@given(connected_graphs(max_n=6), _cfg_strategy, st.integers(0, 63),
+       st.lists(st.integers(0, 63), max_size=8),
+       st.lists(st.tuples(_BOUNDS, _BOUNDS).filter(lambda w: w[0] < w[1]),
+                min_size=1, max_size=4))
+@settings(max_examples=150, deadline=None)
+@example(path(3), (VD, 0), 0, [0], [(1, 2)])  # Staller's only move finishes the game
+def test_remaining_keeps_the_fail_soft_contract(g, variant_budget, pre_bits, choices, windows):
+    # a result at or below alpha bounds the value from above, one at or
+    # above beta bounds it from below, and one in between is exact; the
+    # windows share one search, so later ones meet the bounds earlier ones stored
+    variant, budget = variant_budget
+    cfg = GameConfig(variant, budget, pre_bits & g.full_mask)
+    pos = GameState(0, budget)
+    assume(status(g, cfg, pos) is Status.ONGOING)
+    for c in choices:
+        actions = list(bits(legal_moves(g, cfg, pos)))
+        if mover(cfg, pos) is Player.STALLER and pos.passes_left > 0:
+            actions.append(PASS)
+        action = actions[c % len(actions)]
+        nxt = (apply_pass(cfg, pos) if action == PASS
+               else apply_move(g, cfg, pos, action))
+        if status(g, cfg, nxt) is not Status.ONGOING:
+            break
+        pos = nxt
+    turn = pos.played.bit_count() + budget - pos.passes_left + 1
+    cls = ((mover_at(variant, turn) is Player.DOMINATOR) << 1
+           | (mover_at(variant, turn + 1) is Player.DOMINATOR))
+    reach = closed_union(g, pos.played)
+    value = _brute_value(g, cfg, pos.played, pos.passes_left) - pos.played.bit_count()
+    search = solver._Search(g)
+    for alpha, beta in windows:
+        got = search.remaining(reach, reach | cfg.predominated, pos.passes_left, cls,
+                               alpha, beta)
+        if got <= alpha:
+            assert value <= got
+        elif got >= beta:
+            assert value >= got
+        else:
+            assert value == got
 
 
 def _relabeled(g):

@@ -153,12 +153,11 @@ def cmd_verify(args) -> int:
 
 def _scan_one(job):
     index, line, g, time_budget = job
-    try:
-        result = analysis.predomination_scan(g, time_budget=time_budget)
-    except BudgetExceeded:
-        return {"line": index, "graph6": line, "verdict": "budget-exceeded"}
     record = {"line": index, "graph6": line}
-    record.update(result.to_record())
+    try:
+        record.update(analysis.predomination_scan(g, time_budget=time_budget).to_record())
+    except BudgetExceeded:
+        record["verdict"] = "budget-exceeded"
     return record
 
 

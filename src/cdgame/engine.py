@@ -73,6 +73,12 @@ class GameConfig(NamedTuple("_ConfigFields", [("variant", Variant), ("pass_budge
 
     def __new__(cls, variant: Variant = Variant.DOMINATOR_START, pass_budget: int = 0,
                 predominated: int = 0):
+        if not isinstance(variant, Variant):
+            raise ValueError("variant must be a Variant")
+        if not isinstance(pass_budget, int):
+            raise ValueError("pass budget must be an int")
+        if not isinstance(predominated, int):
+            raise ValueError("predominated set must be an int bitmask")
         if pass_budget < 0:
             raise ValueError("pass budget must be nonnegative")
         if pass_budget > 0 and variant not in PASS_VARIANTS:

@@ -200,8 +200,7 @@ def cut_vertices(g: Graph) -> int:
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union of g and h plus every cross edge; g's vertices first."""
     n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"join would have {n} > {MAX_VERTICES} vertices")
+    check_vertex_count(n)
     h_block = ((1 << h.n) - 1) << g.n
     g_block = (1 << g.n) - 1
     rows = [g.adj[v] | h_block for v in range(g.n)]
@@ -213,8 +212,7 @@ def cartesian_product(g: Graph, h: Graph, labels: Iterable[str] | None = None) -
     """Box product; vertex (a, b) gets index a * |V(h)| + b, and the label
     ``labels[a * |V(h)| + b]`` when labels are given."""
     n = g.n * h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"product would have {n} > {MAX_VERTICES} vertices")
+    check_vertex_count(n)
     rows = []
     for a in range(g.n):
         for b in range(h.n):
@@ -229,8 +227,7 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
     """g[h]: copies of h substituted for g's vertices; copy of a is the
     contiguous index block a * |V(h)| .. a * |V(h)| + |V(h)| - 1."""
     n = g.n * h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"product would have {n} > {MAX_VERTICES} vertices")
+    check_vertex_count(n)
     block = (1 << h.n) - 1
     rows = []
     for a in range(g.n):

@@ -58,9 +58,9 @@ so only answers whether the child reaches the value.
 
 :func:`optimal_move` keeps one search, memo included, per graph (labels
 aside), so every game's replies on a graph share one memo, also when
-games on other graphs come between them.  The kept memos are held to
-:data:`KEPT_ENTRIES` entries in all, about 8 MB: after a reply the least
-recently used searches go first, and the current one is never dropped.
+games on other graphs come between them.  A ``functools.lru_cache`` keeps
+the searches of the 32 most recently used graphs; the current one is the
+most recent, so it is never dropped.
 
 ``solve`` is the production path; the engine steps its line, each action
 through ``apply_move`` or ``apply_pass``.  ``solve_naive`` is a plain
@@ -332,11 +332,10 @@ def game_values(g: Graph, predominated_sets: Iterable[int],
     return values
 
 
-#: memo entries kept over all of :func:`optimal_move`'s searches; at about
-#: 130 bytes an entry, about 8 MB
-KEPT_ENTRIES = 2**16
-
-_searches: dict[Graph, _Search] = {}  # least recently used first
+@functools.lru_cache(maxsize=32)
+def _kept_search(g: Graph) -> _Search:
+    """:func:`optimal_move`'s search on ``g``, one per graph (labels aside)."""
+    return _Search(g)
 
 
 def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
@@ -345,19 +344,9 @@ def optimal_move(g: Graph, cfg: GameConfig, st: GameState) -> int | str:
     ongoing: a won or stuck position raises ``ValueError``.  One search,
     memo included, is kept per graph (labels aside) whatever the config,
     so a graph that comes back reuses what every earlier reply on it
-    found.  After a reply, the least recently used searches other than
-    this graph's are dropped while the kept memos hold more than
-    :data:`KEPT_ENTRIES` entries (2**16, about 8 MB)."""
+    found; :func:`_kept_search` keeps the 32 most recently used."""
     cfg.validate_for(g)
-    search = _searches.pop(g, None) or _Search(g)
-    _searches[g] = search
-    action = search.best_action(cfg, st)
-    kept = sum(len(s.memo) for s in _searches.values())
-    for old in list(_searches)[:-1]:
-        if kept <= KEPT_ENTRIES:
-            break
-        kept -= len(_searches.pop(old).memo)
-    return action
+    return _kept_search(g).best_action(cfg, st)
 
 
 @functools.lru_cache(maxsize=64)

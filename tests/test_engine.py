@@ -64,6 +64,11 @@ _ONLY_PLAIN = "pass budget is only defined for the plain Dominator-start and Sta
     ((Variant.STALLER_SKIPS_FIRST, 1, 0), _ONLY_PLAIN),
     ((Variant.DOMINATOR_SKIPS_FIRST, 2, 0), _ONLY_PLAIN),
     ((Variant.STALLER_START, 0, -1), "predominated set must be a nonnegative bitmask"),
+    (("d", 0, 0), "variant must be a Variant"),
+    ((None, 0, 0), "variant must be a Variant"),
+    ((Variant.DOMINATOR_START, 1.5, 0), "pass budget must be an int"),
+    ((Variant.STALLER_START, "1", 0), "pass budget must be an int"),
+    ((Variant.DOMINATOR_START, 0, 1.0), "predominated set must be an int bitmask"),
 ])
 def test_config_checks_every_construction(fields, message):
     variant, k, pre = fields

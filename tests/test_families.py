@@ -216,6 +216,15 @@ def test_oversize_spec_is_rejected_before_building(spec, monkeypatch):
         graph_from_spec(spec)
 
 
+@pytest.mark.parametrize("spec,n", [("lex:complete:9,complete:8", 72),
+                                    ("cart:cycle:9,cycle:8", 72),
+                                    ("join:complete:40,complete:30", 70),
+                                    ("hamming:9,8", 72)])
+def test_oversize_construction_reports_the_vertex_cap(spec, n):
+    with pytest.raises(ValueError, match=rf"^vertex count must be in 1\.\.64, got {n}$"):
+        graph_from_spec(spec)
+
+
 def test_repeated_spec_returns_the_same_graph():
     g = graph_from_spec("cart:cycle:5,path:4")
     closed_neighborhood_set(g, 1)  # builds the N[S] tables

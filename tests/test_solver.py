@@ -1,3 +1,4 @@
+import functools
 from unittest import mock
 
 import pytest
@@ -606,66 +607,54 @@ def _relabeled(g):
     return Graph(g.n, g.adj, [f"x{v}" for v in range(g.n)])
 
 
-def test_optimal_move_keeps_its_search_for_equal_inputs(monkeypatch):
-    monkeypatch.setattr(solver, "_searches", {})
+def test_optimal_move_keeps_its_search_for_equal_inputs():
+    solver._kept_search.cache_clear()
     g = cycle(6)
     cfg = GameConfig(VS, pass_budget=1)
     root = GameState(0, 1)
     first = optimal_move(g, cfg, root)
-    kept = solver._searches[g]
+    kept = solver._kept_search(g)
     # an equal graph with other labels reuses the search, and so does the
     # same graph under another variant, pass budget or predominated set
     assert optimal_move(_relabeled(g), GameConfig(VS, 1), root) == first
-    assert solver._searches[g] is kept
+    assert solver._kept_search(_relabeled(g)) is kept
     for other in (GameConfig(VD), GameConfig(VD, 2), GameConfig(VS, 1, predominated=1),
                   GameConfig(Variant.DOMINATOR_SKIPS_FIRST)):
         optimal_move(g, other, GameState(0, other.pass_budget))
-        assert solver._searches[g] is kept
+        assert solver._kept_search(g) is kept
     # another graph gets a search of its own, and a return to g reuses g's
     optimal_move(path(6), GameConfig(VS, 1, predominated=1), root)
-    assert solver._searches[path(6)] is not kept
+    assert solver._kept_search(path(6)) is not kept
     assert optimal_move(g, cfg, root) == first
-    assert solver._searches[g] is kept
-    assert list(solver._searches) == [path(6), g]
+    assert solver._kept_search(g) is kept
 
 
-def test_optimal_move_drops_the_least_recently_used_searches(monkeypatch):
-    monkeypatch.setattr(solver, "_searches", {})
+def test_optimal_move_drops_the_least_recently_used_searches():
+    solver._kept_search.cache_clear()
     cfg, root = GameConfig(VD), GameState()
-    a, b, c = cycle(6), path(6), circular_ladder(4)
-    for g in (a, b, c, a):
-        optimal_move(g, cfg, root)
-    searches = solver._searches
-    assert list(searches) == [b, c, a]  # least recently used first
-    sizes = {g: len(searches[g].memo) for g in searches}
-    # one entry over the budget drops b, the least recently used; c and a
-    # stay, since asking c the same question again adds no entry
-    monkeypatch.setattr(solver, "KEPT_ENTRIES", sum(sizes.values()) - 1)
-    optimal_move(c, cfg, root)
-    assert list(searches) == [a, c]
-    assert {g: len(searches[g].memo) for g in searches} == {a: sizes[a], c: sizes[c]}
-    # the current search stays, even alone over the budget
-    monkeypatch.setattr(solver, "KEPT_ENTRIES", 0)
-    optimal_move(b, cfg, root)
-    assert list(searches) == [b] and len(searches[b].memo) > 0
-    assert optimal_move(a, cfg, root) == _brute_move(a, cfg, 0, 0)
-    assert list(searches) == [a]
+    first = path(2)
+    optimal_move(first, cfg, root)
+    kept = solver._kept_search(first)
+    for n in range(3, 35):  # 32 more graphs push the first one out
+        optimal_move(path(n), cfg, root)
+    assert solver._kept_search.cache_info().currsize == 32
+    assert solver._kept_search(first) is not kept
 
 
 @given(connected_graphs(max_n=6), connected_graphs(max_n=6), connected_graphs(max_n=5),
        _cfg_strategy, _cfg_strategy, st.integers(0, 63), st.integers(0, 63),
-       st.integers(0, 80),
+       st.integers(1, 3),
        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 7)), max_size=30))
 @settings(max_examples=60, deadline=None)
 def test_kept_search_matches_brute_force_across_games(g, h, k, first, second, pre_a,
                                                       pre_b, kept, steps):
     # Five games advance one action at a time in the order ``steps`` picks,
     # so optimal_move keeps one search per graph, whatever the config, and
-    # drops the least recently used ones past a budget of ``kept`` memo
-    # entries: two configs on g, one on h, one on k, and the first config
-    # on an equal copy of g with other labels.  Every reply is checked; the
-    # game goes on with it or with another legal action.  Once ``steps``
-    # runs out, the engine plays every game out.
+    # drops the least recently used ones past ``kept`` searches, so that
+    # searches are dropped and rebuilt: two configs on g, one on h, one on
+    # k, and the first config on an equal copy of g with other labels.
+    # Every reply is checked; the game goes on with it or with another
+    # legal action.  Once ``steps`` runs out, the engine plays every game out.
     games = [(g, GameConfig(*first, pre_a & g.full_mask)),
              (g, GameConfig(*second, pre_b & g.full_mask)),
              (h, GameConfig(*first, pre_b & h.full_mask)),
@@ -673,8 +662,8 @@ def test_kept_search_matches_brute_force_across_games(g, h, k, first, second, pr
              (_relabeled(g), GameConfig(*first, pre_a & g.full_mask))]
     positions = [GameState(0, cfg.pass_budget) for _, cfg in games]
     steps = iter(steps)
-    with mock.patch.object(solver, "KEPT_ENTRIES", kept), \
-            mock.patch.object(solver, "_searches", {}):
+    with mock.patch.object(solver, "_kept_search",
+                           functools.lru_cache(maxsize=kept)(solver._Search)):
         while True:
             ongoing = [i for i, (gr, cfg) in enumerate(games)
                        if status(gr, cfg, positions[i]) is Status.ONGOING]
@@ -686,7 +675,6 @@ def test_kept_search_matches_brute_force_across_games(g, h, k, first, second, pr
             pos = positions[i]
             reply = optimal_move(gr, cfg, pos)
             assert reply == _brute_move(gr, cfg, pos.played, pos.passes_left)
-            assert next(reversed(solver._searches)) == gr
             actions = list(bits(legal_moves(gr, cfg, pos)))
             if mover(cfg, pos) is Player.STALLER and pos.passes_left > 0:
                 actions.append(PASS)

@@ -35,8 +35,7 @@ from . import families
 from .engine import Variant
 from .graph import (Graph, bits, cut_vertices, diameter, has_universal_vertex, is_complete,
                     is_join_some_noncomplete, is_join_two_noncomplete, read_graph6_file)
-from .solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, GameValue, game_values, is_never,
-                     naive_values)
+from .solver import NEVER, ORACLE_CONFIGS, BudgetExceeded, GameValue, game_values, naive_values
 
 PASS, FAIL, BUDGET = "pass", "fail", "budget-exceeded"
 
@@ -57,7 +56,7 @@ class ClaimResult(NamedTuple):
 
 
 def _jsonable(value):
-    if isinstance(value, float) and is_never(value):
+    if value == NEVER:
         return "never"
     if isinstance(value, (tuple, list)):
         return [_jsonable(v) for v in value]
@@ -83,11 +82,6 @@ def _records(instance: str, expected: dict[str, Any],
             for (claim, e), o in zip(expected.items(), observed)]
 
 
-def _timed_claim(claim: str, instance: str, expected,
-                 compute: Callable[[], Any]) -> ClaimResult:
-    return _records(instance, {claim: expected}, lambda: [compute()])[0]
-
-
 def load_corpus(path=None) -> list[Graph]:
     """Graphs from a graph6 corpus file; the bundled corpus by default."""
     return read_graph6_file(os.path.join(os.path.dirname(__file__), "data", "graphs7.g6")
@@ -108,29 +102,39 @@ class _Row:
     the sets it asks for that the column lacks in one :func:`game_values`
     search, together with ``fills`` on a column's first read: the empty
     set, and in a corpus row every singleton too, since its oracle and
-    predomination claims read them all.  A solve past ``time_budget``
-    adds none of that search's sets."""
+    predomination claims read them all.  A search past ``time_budget``
+    marks each of its sets stopped (``None``), and a read of a stopped set
+    raises :class:`BudgetExceeded` at once, so it is not searched again."""
 
     def __init__(self, g: Graph, name: str, time_budget: float | None,
                  fills: Sequence[int] = (0,)):
         self.g, self.name, self.time_budget, self.fills = g, name, time_budget, fills
-        self.columns: dict[tuple[Variant, int], dict[int, GameValue]] = {}
+        self.columns: dict[tuple[Variant, int], dict[int, GameValue | None]] = {}
 
     def values(self, variant: Variant, k: int, sets: Sequence[int]) -> list[GameValue]:
         column = self.columns.setdefault((variant, k), {})
+        if any(column.get(p, 0) is None for p in sets):
+            raise BudgetExceeded
         wanted = sets if column else [*self.fills, *sets]
         missing = [p for p in dict.fromkeys(wanted) if p not in column]
         if missing:
-            column.update(zip(missing, game_values(self.g, missing, variant, k, self.time_budget)))
+            try:
+                column.update(zip(missing, game_values(self.g, missing, variant, k,
+                                                       self.time_budget)))
+            except BudgetExceeded:
+                column.update(dict.fromkeys(missing))
+                raise
         return [column[p] for p in sets]
 
     def value(self, variant: Variant = Variant.DOMINATOR_START, k: int = 0,
               pre: int = 0) -> GameValue:
         return self.values(variant, k, [pre])[0]
 
-    def opening(self) -> list[GameValue]:
-        """The plain game's values over :func:`_opening_sets`, in one read."""
-        return self.values(Variant.DOMINATOR_START, 0, _opening_sets(self.g))
+    def opening(self) -> tuple[GameValue, list[GameValue]]:
+        """The plain game's value, then its values with each single vertex
+        predominated, in one read."""
+        base, *per_vertex = self.values(Variant.DOMINATOR_START, 0, _opening_sets(self.g))
+        return base, per_vertex
 
 
 def _value_claim(claim: str, row: _Row, expected, variant: Variant = Variant.DOMINATOR_START,
@@ -138,7 +142,7 @@ def _value_claim(claim: str, row: _Row, expected, variant: Variant = Variant.DOM
     """One claimed value of a named row; the instance is the row's spec,
     followed by ``|`` and the labels of ``pre`` when a set is predominated."""
     labels = "|" + ",".join(map(row.g.label, bits(pre))) if pre else ""
-    return _timed_claim(claim, row.name + labels, expected, lambda: row.value(variant, 0, pre))
+    return _records(row.name + labels, {claim: expected}, lambda: row.values(variant, 0, [pre]))[0]
 
 
 class ScanResult(NamedTuple):
@@ -168,12 +172,11 @@ def predomination_scan(g: Graph, time_budget: float | None = None) -> ScanResult
     memo; ``time_budget`` applies to each.
     """
     base, *per_vertex = game_values(g, _opening_sets(g), time_budget=time_budget)
-    nevers = [v for v, val in enumerate(per_vertex) if is_never(val)]
-    shifts = [] if is_never(base) else [int(val - base) for val in per_vertex
-                                        if not is_never(val)]
+    nevers = [v for v, val in enumerate(per_vertex) if val == NEVER]
+    shifts = [] if base == NEVER else [int(val - base) for val in per_vertex if val != NEVER]
     max_inc = max(shifts, default=None)
     max_dec = max((-shift for shift in shifts), default=None)
-    all_shift = not is_never(base) and all(val != base for val in per_vertex)
+    all_shift = base != NEVER and all(val != base for val in per_vertex)
     candidate = all_shift and max_inc is not None and max_inc > 0
     return ScanResult(value=base, per_vertex=per_vertex,
                       never_vertices=nevers, max_increase=max_inc,
@@ -226,7 +229,7 @@ def _pass(row: _Row):
 def _predomination(row: _Row):
     """Predominating a cut vertex never shortens the game, and some vertex
     predominates without lengthening it."""
-    base, *per_vertex = row.opening()
+    base, per_vertex = row.opening()
     for u in bits(cut_vertices(row.g)):
         yield "predomination/cut-vertex", f"{row.name}|{u}", per_vertex[u] >= base
     yield ("predomination/opening-not-worse", row.name,
@@ -275,8 +278,8 @@ def _group_paths_cycles(table, named) -> Iterator[ClaimResult]:
         yield _value_claim("path/s", row, n - 1, S)
     for n in range(4, 9):
         row = named(f"cycle:{n}")
-        yield _timed_claim("cycle/d", row.name, n - 2, lambda: row.opening()[0])
-        yield _timed_claim("cycle/predominated", row.name, [n - 3] * n, lambda: row.opening()[1:])
+        yield from _records(row.name, {"cycle/d": n - 2, "cycle/predominated": [n - 3] * n},
+                            row.opening)
 
 
 def _group_small_values(table, named) -> Iterator[ClaimResult]:
@@ -379,10 +382,10 @@ def _group_ladders(table, named) -> Iterator[ClaimResult]:
     vertex predominated (vertex-transitivity is checked, not assumed)."""
     for n in (4, 5, 6, 7):
         for tag, spec in (("circular", f"cl:{n}"), ("mobius", f"ml:{n}")):
-            row = named(spec)
-            yield _timed_claim(f"ladder/{tag}", row.name, 2 * (n - 2), lambda: row.opening()[0])
-            yield _timed_claim(f"ladder/{tag}-predominated", row.name,
-                               [2 * (n - 2) - 1] * row.g.n, lambda: row.opening()[1:])
+            row, value = named(spec), 2 * (n - 2)
+            yield from _records(row.name, {f"ladder/{tag}": value,
+                                           f"ladder/{tag}-predominated": [value - 1] * row.g.n},
+                                row.opening)
 
 
 def _group_oracle(table, named) -> Iterator[ClaimResult]:

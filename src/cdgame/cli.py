@@ -22,23 +22,10 @@ from . import analysis, families
 from .engine import (PASS, GameConfig, GameState, Player, Status, Variant, apply_move,
                      apply_pass, dominated, initial_state, legal_moves, mover, status)
 from .graph import Graph, is_connected, parse_graph6, read_graph6_lines
-from .solver import BudgetExceeded, format_value, is_never, optimal_move, solve
+from .solver import NEVER, BudgetExceeded, format_value, optimal_move, solve
 
 class CliError(Exception):
     pass
-
-
-def _read_corpus(path: str) -> list[tuple[int, str, Graph]]:
-    """The numbered lines of a graph6 file; a missing file, bad line or no graph is bad input."""
-    if not os.path.exists(path):
-        raise CliError(f"file not found: {path}")
-    try:
-        entries = read_graph6_lines(path)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    if not entries:
-        raise CliError(f"{path}: no graphs found")
-    return entries
 
 
 def _open_output(stack: ExitStack, path: str):
@@ -58,7 +45,7 @@ def _load_graph(args) -> Graph:
             return families.graph_from_spec(args.family)
         if args.graph6:
             return parse_graph6(args.graph6)
-        return _read_corpus(args.input)[0][2]
+        return read_graph6_lines(args.input)[0][2]
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -115,7 +102,7 @@ def cmd_solve(args) -> int:
     print(f"states expanded = {report.states_expanded}, memo hits = {report.memo_hits}, "
           f"memo entries = {report.memo_entries}, states/s = {rate:.0f}, "
           f"elapsed = {report.elapsed:.3f} s")
-    return 2 if is_never(report.value) else 0
+    return 2 if report.value == NEVER else 0
 
 
 def cmd_verify(args) -> int:
@@ -126,7 +113,7 @@ def cmd_verify(args) -> int:
         try:
             if args.corpus:
                 corpus = []
-                for lineno, _, g in _read_corpus(args.corpus):
+                for lineno, _, g in read_graph6_lines(args.corpus):
                     if not is_connected(g):  # the game is defined on connected graphs
                         raise CliError(f"{args.corpus}:{lineno}: graph is disconnected")
                     corpus.append(g)
@@ -180,7 +167,10 @@ def _scan_threads(args) -> int:
 def cmd_scan(args) -> int:
     threads = _scan_threads(args)
     budget = _time_budget(args)
-    entries = _read_corpus(args.corpus)  # a bad line stops the scan before any record
+    try:
+        entries = read_graph6_lines(args.corpus)  # a bad line stops the scan before any record
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     jobs = [(i, line, g, budget) for i, (_, line, g) in enumerate(entries, start=1)]
     records = []
     with ExitStack() as stack:

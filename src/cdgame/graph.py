@@ -311,11 +311,14 @@ def parse_graph6(line: str) -> Graph:
 
 def read_graph6_lines(path) -> list[tuple[int, str, Graph]]:
     """``(line number, text, graph)`` for every nonempty line of a graph6
-    corpus file.  A path that cannot be opened raises ``ValueError`` naming it,
-    and a non-ASCII or malformed line (each is decoded alone) one naming ``path:line``."""
+    corpus file.  A missing file, a path that cannot be opened, a file with
+    no graph and a non-ASCII or malformed line (each is decoded alone) raise
+    ``ValueError`` naming the path, and the line as ``path:line``."""
     entries = []
     try:
         fh = open(path, "rb")
+    except (FileNotFoundError, NotADirectoryError):  # a path through a file names none either
+        raise ValueError(f"file not found: {path}") from None
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror}") from None
     with fh:
@@ -326,6 +329,8 @@ def read_graph6_lines(path) -> list[tuple[int, str, Graph]]:
                     entries.append((lineno, line, parse_graph6(line)))
             except ValueError as exc:  # a UnicodeDecodeError is a ValueError
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not entries:
+        raise ValueError(f"{path}: no graphs found")
     return entries
 
 

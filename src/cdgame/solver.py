@@ -92,12 +92,8 @@ NEVER = math.inf
 GameValue = float  # a nonnegative int, or NEVER
 
 
-def is_never(value: GameValue) -> bool:
-    return value == NEVER
-
-
 def format_value(value: GameValue) -> str:
-    return "NEVER" if is_never(value) else str(int(value))
+    return "NEVER" if value == NEVER else str(int(value))
 
 
 class BudgetExceeded(Exception):
@@ -269,14 +265,14 @@ class _Search:
         after = 2 if cls & 1 else 1
         # windows on a vertex child's remaining moves, which attains the
         # target when it equals t = target - 1
-        if is_never(target):
+        if target == NEVER:
             alpha, beta = g.n, NEVER  # a finite remaining is at most n
         elif staller:  # every child is at most t: is it at least t?
             alpha, beta = target - 2, target - 1
         else:  # every child is at least t: is it at most t?
             alpha, beta = target - 1, target
         # a child attains at or above beta, except Dominator's below it
-        high = staller or is_never(target)
+        high = staller or target == NEVER
         closed = g.closed
         for v in bits(moves):
             child = self.remaining(reach | closed[v], dom | closed[v], passes_left, after,

@@ -10,7 +10,7 @@ from cdgame.analysis import (BUDGET, FAIL, PASS, cut_vertices, load_corpus,
 from cdgame.engine import GameConfig, Variant
 from cdgame.families import (complete, cycle, fan_chain, graph_from_spec, hat_chain,
                              path, predomination_penalty_graph, random_tree, star)
-from cdgame.graph import bits, parse_graph6
+from cdgame.graph import bits, parse_graph6, read_graph6_file, read_graph6_lines
 from cdgame.solver import NEVER, BudgetExceeded, game_value, solve, solve_naive
 
 from .conftest import arbitrary_graphs
@@ -178,7 +178,7 @@ def test_named_row_adds_a_larger_set_to_its_column(monkeypatch):
     assert row.value(pre=interior) == NEVER
     # the first read of a column adds the empty set, and no singleton
     assert searched == [[0, interior]]
-    assert row.opening()[1:] == [2, 3, 3, 3, 2]
+    assert row.opening()[1] == [2, 3, 3, 3, 2]
     assert searched[1:] == [[1, 2, 4, 8, 16]]
     # a batch read solves only what the column lacks, in one search
     assert row.value(pre=0b00011) == solve_naive(row.g, GameConfig(predominated=0b00011)) == 1
@@ -353,6 +353,46 @@ def test_budget_records_keep_their_expected_values():
             "oracle/agreement")]
 
 
+def _stop_every_solve(monkeypatch) -> list:
+    """Patch the value table's search to run out of time at once; returns
+    the ``(graph, variant, k)`` of every search it is asked for."""
+    searched = []
+
+    def stop(g, predominated_sets, variant, k, *args):
+        searched.append((g, variant, k))
+        raise BudgetExceeded
+
+    monkeypatch.setattr(analysis, "game_values", stop)
+    return searched
+
+
+def test_a_pair_of_claims_reads_its_column_once(monkeypatch):
+    # a cycle's or ladder's plain and predominated claims share one read,
+    # so a budget stop is waited out once for the pair
+    searched = _stop_every_solve(monkeypatch)
+    claims = list(run_suite(["paths-cycles", "ladders"], corpus=[]))
+    assert len(claims) == 42 and all(c.verdict == BUDGET for c in claims)
+    assert len(searched) == 29  # 42 with one read per claim
+
+
+def test_a_stopped_set_is_not_searched_again(monkeypatch):
+    # a later group, or another product with the same factor, reads the
+    # stopped sets again and is told at once; a column is searched again
+    # only for a set its stopped search did not hold
+    searched = _stop_every_solve(monkeypatch)
+    claims = list(run_suite(corpus=load_corpus()[:3]))
+    assert len(claims) == 170 and all(c.verdict == BUDGET for c in claims)
+    assert len(set(searched)) == 50
+    assert len(searched) == 54  # 114 with every stopped set searched again
+    # a read that asks for a stopped set searches none of its sets, new ones included
+    row = analysis._Row(graph_from_spec("path:5"), "path:5", None)
+    with pytest.raises(BudgetExceeded):
+        row.value(pre=0b00100)
+    with pytest.raises(BudgetExceeded):
+        row.values(Variant.DOMINATOR_START, 0, [0b00010, 0b00100])
+    assert len(searched) == 55
+
+
 def test_oracle_sweep_honours_time_budget():
     # the naive oracle on the 16-vertex grid runs far past any test's patience
     grid = graph_from_spec("cart:path:4,path:4")
@@ -378,3 +418,15 @@ def test_load_corpus_explicit_path(tmp_path):
     target.write_text("A_\nD?{\n")
     graphs = load_corpus(target)
     assert [g.n for g in graphs] == [2, 5]
+
+
+@pytest.mark.parametrize("read", [read_graph6_lines, read_graph6_file, load_corpus])
+def test_corpus_readers_report_missing_and_blank_files(tmp_path, read):
+    missing, blank = tmp_path / "missing.g6", tmp_path / "blank.g6"
+    blank.write_text("\n  \n")
+    with pytest.raises(ValueError) as exc:
+        read(missing)
+    assert str(exc.value) == f"file not found: {missing}"
+    with pytest.raises(ValueError) as exc:
+        read(blank)
+    assert str(exc.value) == f"{blank}: no graphs found"

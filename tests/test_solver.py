@@ -14,8 +14,7 @@ from cdgame.families import (circular_ladder, complete, cycle, doubling_gadget,
                              graph_from_spec, path, predomination_penalty_graph)
 from cdgame.graph import Graph, bits
 from cdgame.solver import (NEVER, ORACLE_CONFIGS, BudgetExceeded, format_value, game_value,
-                           game_values, is_never, naive_values, optimal_move, solve,
-                           solve_naive)
+                           game_values, naive_values, optimal_move, solve, solve_naive)
 
 from .conftest import arbitrary_graphs, closed_union, connected_graphs, oracle_configs
 from .domination import connected_domination_number
@@ -44,9 +43,9 @@ def test_hamming_values():
 
 
 def test_unfinishable_games():
-    assert is_never(solve(path(5), GameConfig(VS, predominated=1 << 2)).value)
+    assert solve(path(5), GameConfig(VS, predominated=1 << 2)).value == NEVER
     disconnected = Graph.from_edges(4, [(0, 1), (2, 3)])
-    assert is_never(solve(disconnected, GameConfig(VD)).value)
+    assert solve(disconnected, GameConfig(VD)).value == NEVER
 
 
 def test_predomination_penalty():
@@ -449,7 +448,7 @@ def test_principal_line_replay_soundness(g, variant_budget, pre_bits):
         else:
             st_ = apply_move(g, cfg, st_, action)
     end = status(g, cfg, st_)
-    if is_never(report.value):
+    if report.value == NEVER:
         assert end is Status.STUCK
     else:
         assert end is Status.WON
@@ -473,7 +472,7 @@ def test_value_sandwiches(g):
 
 
 def _is_count(value):
-    return is_never(value) or type(value) is int
+    return value == NEVER or type(value) is int
 
 
 @given(arbitrary_graphs(max_n=6), _cfg_strategy, st.integers(0, 63))

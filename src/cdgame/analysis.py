@@ -102,28 +102,20 @@ class _Row:
     the sets it asks for that the column lacks in one :func:`game_values`
     search, together with ``fills`` on a column's first read: the empty
     set, and in a corpus row every singleton too, since its oracle and
-    predomination claims read them all.  A search past ``time_budget``
-    marks each of its sets stopped (``None``), and a read of a stopped set
-    raises :class:`BudgetExceeded` at once, so it is not searched again."""
+    predomination claims read them all.  A solve past ``time_budget``
+    adds none of that search's sets."""
 
     def __init__(self, g: Graph, name: str, time_budget: float | None,
                  fills: Sequence[int] = (0,)):
         self.g, self.name, self.time_budget, self.fills = g, name, time_budget, fills
-        self.columns: dict[tuple[Variant, int], dict[int, GameValue | None]] = {}
+        self.columns: dict[tuple[Variant, int], dict[int, GameValue]] = {}
 
     def values(self, variant: Variant, k: int, sets: Sequence[int]) -> list[GameValue]:
         column = self.columns.setdefault((variant, k), {})
-        if any(column.get(p, 0) is None for p in sets):
-            raise BudgetExceeded
         wanted = sets if column else [*self.fills, *sets]
         missing = [p for p in dict.fromkeys(wanted) if p not in column]
         if missing:
-            try:
-                column.update(zip(missing, game_values(self.g, missing, variant, k,
-                                                       self.time_budget)))
-            except BudgetExceeded:
-                column.update(dict.fromkeys(missing))
-                raise
+            column.update(zip(missing, game_values(self.g, missing, variant, k, self.time_budget)))
         return [column[p] for p in sets]
 
     def value(self, variant: Variant = Variant.DOMINATOR_START, k: int = 0,

@@ -16,7 +16,7 @@ import json
 import os
 import re
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 
 from . import analysis, families
 from .engine import (PASS, GameConfig, GameState, Player, Status, Variant, apply_move,
@@ -26,6 +26,15 @@ from .solver import NEVER, BudgetExceeded, format_value, optimal_move, solve
 
 class CliError(Exception):
     pass
+
+
+@contextmanager
+def _bad_input():
+    """A ``ValueError`` raised inside is the user's input rejected: a ``CliError``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _open_output(stack: ExitStack, path: str):
@@ -40,14 +49,12 @@ def _load_graph(args) -> Graph:
     sources = [s for s in (args.family, args.graph6, args.input) if s]
     if len(sources) != 1:
         raise CliError("exactly one of --family, --graph6, --input is required")
-    try:
+    with _bad_input():
         if args.family:
             return families.graph_from_spec(args.family)
         if args.graph6:
             return parse_graph6(args.graph6)
         return read_graph6_lines(args.input)[0][2]
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _predominated_mask(g: Graph, specs: list[str]) -> int:
@@ -63,13 +70,11 @@ def _predominated_mask(g: Graph, specs: list[str]) -> int:
 
 
 def _config(g: Graph, args) -> GameConfig:
-    try:
+    with _bad_input():
         cfg = GameConfig(variant=Variant(args.variant),
                          pass_budget=args.passes,
                          predominated=_predominated_mask(g, args.predominate))
         cfg.validate_for(g)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     return cfg
 
 
@@ -110,7 +115,7 @@ def cmd_verify(args) -> int:
     corpus = None
     names = args.only or None
     with ExitStack() as stack:
-        try:
+        with _bad_input():
             if args.corpus:
                 corpus = []
                 for lineno, _, g in read_graph6_lines(args.corpus):
@@ -132,8 +137,6 @@ def cmd_verify(args) -> int:
                 if out:
                     out.write(json.dumps(record) + "\n")
                     out.flush()  # an interrupted verify keeps every claim finished so far
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
         print(f"{claims} claims, {failures} not passing")
     return 1 if failures else 0
 
@@ -167,10 +170,8 @@ def _scan_threads(args) -> int:
 def cmd_scan(args) -> int:
     threads = _scan_threads(args)
     budget = _time_budget(args)
-    try:
+    with _bad_input():
         entries = read_graph6_lines(args.corpus)  # a bad line stops the scan before any record
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     jobs = [(i, line, g, budget) for i, (_, line, g) in enumerate(entries, start=1)]
     records = []
     with ExitStack() as stack:

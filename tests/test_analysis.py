@@ -353,44 +353,36 @@ def test_budget_records_keep_their_expected_values():
             "oracle/agreement")]
 
 
-def _stop_every_solve(monkeypatch) -> list:
-    """Patch the value table's search to run out of time at once; returns
-    the ``(graph, variant, k)`` of every search it is asked for."""
-    searched = []
-
-    def stop(g, predominated_sets, variant, k, *args):
-        searched.append((g, variant, k))
-        raise BudgetExceeded
-
-    monkeypatch.setattr(analysis, "game_values", stop)
-    return searched
-
-
 def test_a_pair_of_claims_reads_its_column_once(monkeypatch):
     # a cycle's or ladder's plain and predominated claims share one read,
     # so a budget stop is waited out once for the pair
-    searched = _stop_every_solve(monkeypatch)
+    searched = []
+
+    def stop(*args):
+        searched.append(args)
+        raise BudgetExceeded
+
+    monkeypatch.setattr(analysis, "game_values", stop)
     claims = list(run_suite(["paths-cycles", "ladders"], corpus=[]))
     assert len(claims) == 42 and all(c.verdict == BUDGET for c in claims)
     assert len(searched) == 29  # 42 with one read per claim
 
 
-def test_a_stopped_set_is_not_searched_again(monkeypatch):
-    # a later group, or another product with the same factor, reads the
-    # stopped sets again and is told at once; a column is searched again
-    # only for a set its stopped search did not hold
-    searched = _stop_every_solve(monkeypatch)
-    claims = list(run_suite(corpus=load_corpus()[:3]))
-    assert len(claims) == 170 and all(c.verdict == BUDGET for c in claims)
-    assert len(set(searched)) == 50
-    assert len(searched) == 54  # 114 with every stopped set searched again
-    # a read that asks for a stopped set searches none of its sets, new ones included
-    row = analysis._Row(graph_from_spec("path:5"), "path:5", None)
+def test_a_stopped_search_keeps_no_set_from_a_later_read(monkeypatch):
+    # a search that runs out adds none of its sets, so a later read of the
+    # plain value alone solves it
+    solve_sets = analysis.game_values
+
+    def stop_on_a_singleton(g, sets, *args):
+        if len(sets) > 1:
+            raise BudgetExceeded
+        return solve_sets(g, sets, *args)
+
+    monkeypatch.setattr(analysis, "game_values", stop_on_a_singleton)
+    row = analysis._Row(graph_from_spec("cycle:4"), "cycle:4", None)
     with pytest.raises(BudgetExceeded):
-        row.value(pre=0b00100)
-    with pytest.raises(BudgetExceeded):
-        row.values(Variant.DOMINATOR_START, 0, [0b00010, 0b00100])
-    assert len(searched) == 55
+        row.opening()
+    assert row.value() == 2
 
 
 def test_oracle_sweep_honours_time_budget():

@@ -120,19 +120,27 @@ def test_verify_output_jsonl(tmp_path):
 
 def test_verify_records_match_benchmark_reference(tmp_path, capsys):
     # The benchmark's verify slice: every 8th graph of the bundled corpus.
-    # Every record, elapsed aside, must equal the committed reference.
+    # Every record, elapsed aside, must equal the committed reference, and
+    # stdout must be those records' lines and the summary, byte for byte.
     lines = (ROOT / "src/cdgame/data/graphs7.g6").read_text().splitlines()
     corpus = tmp_path / "slice.g6"
     corpus.write_text("\n".join(lines[::8]) + "\n")
     target = tmp_path / "claims.jsonl"
     assert cli.main(["verify", "--corpus", str(corpus), "--output", str(target)]) == 1
-    capsys.readouterr()
+    out = capsys.readouterr().out
     reference = [json.loads(ln) for ln in
                  (ROOT / "perfbench/reference/verify.jsonl").read_text().splitlines()]
     records = [json.loads(ln) for ln in target.read_text().splitlines()]
     assert len(records) == len(reference)
     for ref, rec in zip(reference, records):
         assert {k: v for k, v in rec.items() if k != "elapsed"} == ref
+    failing = [r for r in reference if r["verdict"] != "pass"]
+    expected = [f"PASS  {r['claim']:36s} {r['instance']}" if r["verdict"] == "pass" else
+                f"{r['verdict'].upper():5s} {r['claim']:36s} {r['instance']} "
+                f"expected={json.dumps(r['expected'])} observed={json.dumps(r['observed'])}"
+                for r in reference]
+    expected.append(f"{len(reference)} claims, {len(failing)} not passing")
+    assert out == "\n".join(expected) + "\n"
 
 
 @pytest.mark.parametrize("threads", [[], ["--threads", "2"]])

@@ -90,7 +90,7 @@ class Graph:
         """Resolve a display label (or a plain integer index) to a vertex.
 
         Accepts an underscore before a numeric suffix, so ``u_3`` finds a
-        vertex labeled ``u3``.
+        vertex labeled ``u3``.  Any other name raises ``ValueError``.
         """
         if self.labels is not None:
             if name in self.labels:
@@ -101,9 +101,9 @@ class Graph:
         try:
             v = int(name)
         except ValueError:
-            raise KeyError(f"no vertex labeled {name!r}") from None
+            raise ValueError(f"no vertex labeled {name!r}") from None
         if not 0 <= v < self.n:
-            raise KeyError(f"vertex index {v} out of range 0..{self.n - 1}")
+            raise ValueError(f"vertex index {v} out of range 0..{self.n - 1}")
         return v
 
     def format_set(self, mask: int) -> str:

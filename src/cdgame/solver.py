@@ -426,32 +426,31 @@ def naive_values(g: Graph, predominated: int, stats: dict | None = None,
 
     With no memo and no pruning the tree of legal move sequences does not
     depend on who moves, so one walk of it scores every config.  It keeps
-    :func:`solve_naive`'s move rule, node count and clock.  A node returns
-    the vertex moves still to come in the sweep's order: for each number
-    ``b`` of passes left, 0 to 2, ``D[b]`` with Dominator to move, ``1 +``
-    the least ``S[b]`` of its children, and ``S[b]`` with Staller to move,
-    ``1 +`` the greatest ``D[b]`` of its children or, when ``b > 0``, a
-    pass to the node's own ``D[b - 1]``; then ``DD`` and ``SS``, where the
-    mover moves twice before play alternates, ``1 +`` the least ``D[0]``
-    and the greatest ``S[0]`` of its children.  So the root's entries are
-    the values of ``d``/k, ``s``/k, ``dd`` and ``ss``.  A node with no
-    vertex move is NEVER throughout, so a stuck Staller never passes.
+    :func:`solve_naive`'s move rule and node count; every child, won ones
+    too, goes through the walk, which reads the clock every 4096th node.
+    A node returns the vertex moves still to come in the sweep's order:
+    for each number ``b`` of passes left, 0 to 2, ``D[b]`` with Dominator
+    to move, ``1 +`` the least ``S[b]`` of its children, and ``S[b]`` with
+    Staller to move, ``1 +`` the greatest ``D[b]`` of its children or,
+    when ``b > 0``, a pass to the node's own ``D[b - 1]``; then ``DD`` and
+    ``SS``, where the mover moves twice before play alternates, ``1 +``
+    the least ``D[0]`` and the greatest ``S[0]`` of its children.  So the
+    root's entries are the values of ``d``/k, ``s``/k, ``dd`` and ``ss``.
+    A node with no vertex move is NEVER throughout, so a stuck Staller
+    never passes.
     """
     GameConfig(predominated=predominated).validate_for(g)
     adj, closed, full = g.adj, g.closed, g.full_mask
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     nodes = 0
-    check_at = 4096
-    won = (0,) * 8  # a fully predominated root; won moves are scored in place
+    won = (0,) * 8  # a won node: every child, won or not, goes through walk
 
     def walk(played: int, front: int, dom: int) -> tuple[GameValue, ...]:
         """``(D[0], D[1], D[2], S[0], S[1], S[2], DD, SS)`` after ``played``."""
-        nonlocal nodes, check_at
+        nonlocal nodes
         nodes += 1
-        if nodes >= check_at:
-            check_at += 4096
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceeded
+        if not nodes & 4095 and deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded
         undom = full & ~dom
         if not undom:
             return won
@@ -464,11 +463,6 @@ def naive_values(g: Graph, predominated: int, stats: dict | None = None,
             v = low.bit_length() - 1
             new = closed[v] & undom
             if not new:
-                continue
-            if new == undom:
-                nodes += 1
-                d0 = d1 = d2 = dd = 0
-                s0, s1, s2, ss = max(s0, 0), max(s1, 0), max(s2, 0), max(ss, 0)
                 continue
             c0, c1, c2, c3, c4, c5, _, _ = walk(played | low, front | adj[v], dom | new)
             if c3 < d0:

@@ -200,7 +200,7 @@ def test_named_instances_are_family_specs():
             g = graph_from_spec(spec)
             if labels:
                 labelled.append(c.instance)
-                # vertex_by_label raises KeyError for a label g does not have
+                # vertex_by_label raises ValueError for a label g does not have
                 assert len({g.vertex_by_label(label) for label in labels.split(",")}) == \
                     len(labels.split(","))
     assert labelled == ["fig3|c", "path:5|2", "path:5|1,2,3"]

@@ -102,6 +102,17 @@ def test_verify_group_with_known_divergence():
     assert "16 claims, 4 not passing" in out.stdout
 
 
+def test_fault_inside_a_claim_group_is_not_bad_input(monkeypatch):
+    # only the corpus, --output and group names are input: any other
+    # ValueError is a fault in the program and keeps its traceback
+    def faulty(table, named):
+        raise ValueError("math domain error")
+
+    monkeypatch.setitem(cli.analysis.GROUPS, "hamming", faulty)
+    with pytest.raises(ValueError, match="math domain error"):
+        cli.main(["verify", "--only", "hamming"])
+
+
 def test_verify_unknown_group():
     out = run_cli("verify", "--only", "nope")
     assert out.returncode == 1
@@ -602,7 +613,7 @@ def test_unwritable_output_fails_before_any_solve(tmp_path, monkeypatch, capsys)
 
 
 def test_label_errors_are_not_quoted(monkeypatch, capsys):
-    # str() of a KeyError quotes its message
+    # a label error is printed as its bare message, without quotes
     for label, message in (("9", "vertex index 9 out of range 0..3"),
                            ("nosuch", "no vertex labeled 'nosuch'")):
         assert cli.main(["solve", "--family", "path:4", "--predominate", label]) == 1

@@ -39,6 +39,16 @@ def test_from_edges_rejects_a_self_loop():
         Graph.from_edges(3, [(1, 1)])
 
 
+def test_vertex_by_label_rejects_an_unknown_vertex():
+    g = path(4)
+    with pytest.raises(ValueError) as exc:
+        g.vertex_by_label("zz")
+    assert exc.value.args == ("no vertex labeled 'zz'",)
+    with pytest.raises(ValueError) as exc:
+        g.vertex_by_label("9")
+    assert exc.value.args == ("vertex index 9 out of range 0..3",)
+
+
 def test_closed_neighborhood():
     assert path(3).closed[1] == 0b111
     k5 = complete(5)
